@@ -8,8 +8,11 @@ Bayes factors.
 
 __version__ = "0.1.0"
 
+# The filter kernel is plain numpy; the constant stays for readers of the
+# manifest's `numba_enabled` field.
+NUMBA_ENABLED = False
+
 from . import diagnostics, errors, filtering, matstat, simulator
-from ._kernels import NUMBA_ENABLED
 from .diagnostics import (BayesFactorSeries, GridReport, LikelihoodAccumulator,
                           MsseAccumulator, bayes_factor, bayes_factor_series,
                           grid_search, loglik_constant, loglik_term, loglik_total,

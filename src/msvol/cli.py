@@ -13,12 +13,11 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
-from ._kernels import NUMBA_ENABLED
+from . import NUMBA_ENABLED, __version__
 from .diagnostics import grid_search
 from .errors import (DataError, DomainError, MissingValue, MsvolError,
                      NonPositiveLevel, NotPositiveDefinite, ParseError,
@@ -26,6 +25,7 @@ from .errors import (DataError, DomainError, MissingValue, MsvolError,
 from .simulator import SimConfig, simulate_path
 
 DEFAULT_DELTAS = (0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+ROW_BLOCK = 256   # rows formatted per write; bounds the text held in memory
 
 
 @dataclass
@@ -50,7 +50,6 @@ class RunSpec:
     out_dir: str = "."
     seed: int = 0
     scale: float = 1.0
-    series: dict = field(default_factory=dict, repr=False)
 
 
 def _parse_cell(text, row, col):
@@ -63,6 +62,8 @@ def _parse_cell(text, row, col):
         raise ParseError(f"cannot parse {text!r} at row {row}, column {col}") from None
     if math.isnan(value):
         raise MissingValue(f"missing value at row {row}, column {col}")
+    if math.isinf(value):
+        raise ParseError(f"non-finite value {text!r} at row {row}, column {col}")
     return value
 
 
@@ -121,35 +122,50 @@ def load_csv(path, mode):
     return ReturnsFrame(labels=labels, times=times, values=values)
 
 
-def emit_series(out_dir, frame, report_runs, deltas):
-    """One CSV per discount factor: posterior volatilities and correlations.
+def _write_table(path, header, times, values):
+    """Write a CSV: `header`, then one `time,v1,...,vm` row per entry of `times`.
+
+    `values(lo, hi)` returns the (hi - lo, m) values of rows lo..hi-1, each
+    written with 10 significant digits.  Rows are built and formatted a block
+    of ROW_BLOCK at a time, so neither the values nor the text of a whole
+    file is held in memory at once.
+    """
+    fmt = "%s" + ",%.10g" * (len(header) - 1) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(times), ROW_BLOCK):
+            hi = min(lo + ROW_BLOCK, len(times))
+            rows = zip(times[lo:hi], values(lo, hi).tolist())
+            fh.write("".join(fmt % (t, *row) for t, row in rows))
+
+
+def emit_series(out_dir, frame, runs):
+    """One CSV per FilterRun in `runs` (delta -> run): volatilities, correlations.
 
     Columns: time, sigma_<label> for each series (square root of the
     posterior-mean diagonal), rho_<li>_<lj> for each pair (from the
     posterior mean).  One row per observation.
     """
+    labels = frame.labels
+    p = len(labels)
+    iu, ju = np.triu_indices(p, 1)
+    rows = np.concatenate([np.arange(p), iu])
+    cols = np.concatenate([np.arange(p), ju])
+    head = ["time"] + [f"sigma_{la}" for la in labels]
+    head += [f"rho_{labels[i]}_{labels[j]}" for i, j in zip(iu, ju)]
     paths = []
-    for d in deltas:
-        run = report_runs.get(d)
-        if run is None:
-            continue
-        scales = run["scales"]
-        coef = run["posterior_mean_coef"]
-        labels = frame.labels
-        p = len(labels)
-        pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    for d in sorted(runs):
+        run = runs[d]
+
+        def vol_corr(lo, hi):
+            m = run.cfg.posterior_mean_coef * run.scales[lo:hi, rows, cols]
+            sd = np.sqrt(m[:, :p])
+            m[:, :p] = sd
+            m[:, p:] /= sd[:, iu] * sd[:, ju]
+            return m
+
         path = os.path.join(out_dir, f"series_delta_{d:g}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            head = ["time"] + [f"sigma_{la}" for la in labels]
-            head += [f"rho_{labels[i]}_{labels[j]}" for i, j in pairs]
-            fh.write(",".join(head) + "\n")
-            for t in range(scales.shape[0]):
-                m = coef * scales[t]
-                diag = np.sqrt(np.diag(m))
-                row = [str(frame.times[t])]
-                row += ["%.10g" % x for x in diag]
-                row += ["%.10g" % (m[i, j] / (diag[i] * diag[j])) for i, j in pairs]
-                fh.write(",".join(row) + "\n")
+        _write_table(path, head, frame.times, vol_corr)
         paths.append(path)
     return paths
 
@@ -190,9 +206,6 @@ def run(spec):
         report = grid_search(values, deltas, spec.baseline_delta,
                              prior_window=spec.prior_window,
                              flat_day=spec.flat_day, keep_runs=True)
-        runs = {d: {"scales": fr.scales,
-                    "posterior_mean_coef": fr.cfg.posterior_mean_coef}
-                for d, fr in report.runs.items()}
         timings["grid_seconds"] = time.perf_counter() - t0
     except (DomainError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -218,16 +231,12 @@ def run(spec):
               encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    series_paths = emit_series(spec.out_dir, frame, runs, deltas)
-    bf_path = os.path.join(spec.out_dir, "bayes_factors.csv")
-    with open(bf_path, "w", encoding="utf-8") as fh:
-        cols = [d for d in deltas if d in report.h_series]
-        fh.write(",".join(["time"] + [f"H_{d:g}" for d in cols]) + "\n")
-        n_rows = values.shape[0]
-        for t in range(n_rows):
-            row = [str(frame.times[t])]
-            row += ["%.10g" % report.h_series[d][t] for d in cols]
-            fh.write(",".join(row) + "\n")
+    series_paths = emit_series(spec.out_dir, frame, report.runs)
+    cols = [d for d in deltas if d in report.h_series]
+    _write_table(os.path.join(spec.out_dir, "bayes_factors.csv"),
+                 ["time"] + [f"H_{d:g}" for d in cols], frame.times,
+                 lambda lo, hi: np.column_stack([report.h_series[d][lo:hi]
+                                                 for d in cols]))
     timings["write_seconds"] = time.perf_counter() - t0
     timings["total_seconds"] = time.perf_counter() - t_total
 

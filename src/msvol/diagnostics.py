@@ -200,19 +200,11 @@ def bayes_factor_series(run, baseline_run):
     """
     if run.q.shape != baseline_run.q.shape:
         raise DimensionMismatch("runs cover different numbers of steps")
-    lp1 = _u_logpdf(run)
-    lp2 = _u_logpdf(baseline_run)
+    lp1 = matstat.student_t_logpdf_from_sq(run.u_sq, run.cfg.forecast_df, run.cfg.p)
+    lp2 = matstat.student_t_logpdf_from_sq(baseline_run.u_sq,
+                                           baseline_run.cfg.forecast_df,
+                                           baseline_run.cfg.p)
     return BayesFactorSeries(values=lp1 - lp2)
-
-
-def _u_logpdf(run):
-    cfg = run.cfg
-    uu = run.u_sq
-    from scipy.special import gammaln
-
-    n = cfg.forecast_df
-    return (gammaln((n + cfg.p) / 2) - gammaln(n / 2)
-            - (cfg.p / 2) * np.log(np.pi) - ((n + cfg.p) / 2) * np.log1p(uu))
 
 
 @dataclass

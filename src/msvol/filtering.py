@@ -10,11 +10,18 @@ precision from one step to the next; the widely used k = 1/d does so only in
 the univariate case and otherwise induces an upward drift (a shrinkage-type
 evolution of the precision).
 
-`step` is the readable single-observation reference; `run_filter` drives the
-compiled kernel over a whole series and is what the diagnostics and the CLI
-use.  Both carry the state as the upper Cholesky factor of S_t, so no
-incremental quantity ever degrades: every factorization is recomputed from
-the factor at each step, which also subsumes any periodic refresh policy.
+The recursion is run entirely in Cholesky-factor space: the scale matrix is
+carried as its upper triangular factor R (R'R = S) and each observation is
+absorbed with a Givens-style rank-one update.  This matters: the volatility
+path of the model is a multiplicative random walk, so the condition number of
+S grows without bound along a path, and forming S explicitly destroys the
+small eigendirections once the condition number passes 1/eps.  Working on the
+factor keeps the effective condition at its square root.
+
+`run_filter` passes a whole series through the one kernel, `_filter_rows`;
+`step` passes a single observation through the same kernel.  Every
+factorization is recomputed from the factor at each step, so no incremental
+quantity ever degrades, which also subsumes any periodic refresh policy.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matstat
-from ._kernels import filter_core
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 
 DELTA_MIN = 2.0 / 3.0
@@ -135,41 +141,80 @@ def step(cfg, state, y):
     y = np.asarray(y, dtype=float)
     if y.shape != (cfg.p,):
         raise DimensionMismatch(f"observation has shape {y.shape}, expected ({cfg.p},)")
-    r = state.scale_chol
-    _, d, vt = np.linalg.svd(r)
-    if d[-1] <= 0.0:
+    scales, u, q, logdet_pre, r_new = _filter_rows(y[None, :], state.scale_chol, cfg.k)
+    if np.isnan(logdet_pre[0]):
         raise NotPositiveDefinite("filter scale matrix lost positive definiteness")
-    z = vt @ y
-    q = float(np.sum((z / d) ** 2))
-    logdet = 2.0 * float(np.sum(np.log(d)))
-    u = np.sqrt(cfg.k) * (vt.T @ (z / d))
-    u_star = np.sqrt((3 * cfg.delta - 2) / (1 - cfg.delta)) * u
-    logdens = (
-        matstat.student_t_logpdf(u, cfg.forecast_df)
-        + 0.5 * cfg.p * np.log(cfg.k)
-        - 0.5 * logdet
-    )
-    forecast_scale = cfg.forecast_scale_coef * (r.T @ r)
-    r_new = _cholupdate(r / np.sqrt(cfg.k), y.copy())
+    run = FilterRun(cfg=cfg, scales=scales, u=u, q=q, logdet_pre=logdet_pre)
     new_state = FilterState(t=state.t + 1, scale_chol=r_new)
-    out = StepOutput(forecast_scale=forecast_scale, u=u, u_star=u_star,
-                     predictive_logdensity=float(logdens), q=q)
+    out = StepOutput(forecast_scale=prior_mean_next(cfg, state), u=u[0],
+                     u_star=run.u_star[0],
+                     predictive_logdensity=float(run.predictive_logdensity[0]),
+                     q=float(q[0]))
     return new_state, out
 
 
-def _cholupdate(r, x):
-    """Upper factor of R'R + xx' from the upper factor R; consumes x."""
-    r = np.array(r, dtype=float)
-    p = x.shape[0]
-    for j in range(p):
-        rad = np.hypot(r[j, j], x[j])
-        c = rad / r[j, j]
-        s = x[j] / r[j, j]
-        r[j, j] = rad
-        if j + 1 < p:
-            r[j, j + 1:] = (r[j, j + 1:] + s * x[j + 1:]) / c
-            x[j + 1:] = c * x[j + 1:] - s * r[j, j + 1:]
-    return r
+def _filter_rows(Y, R0, k):
+    """One full filter pass over the rows of Y.
+
+    Parameters
+    ----------
+    Y : (N, p) observations, one row per time step.
+    R0 : (p, p) upper triangular factor of the initial scale matrix.
+    k : decay constant of the recursion S <- S/k + y y'.
+
+    Returns
+    -------
+    scales : (N, p, p) post-update scale matrices S_t.
+    u : (N, p) standardized errors sqrt(k) * S_{t-1}^{-1/2} y_t
+        (symmetric square root).
+    q : (N,) quadratic forms y_t' S_{t-1}^{-1} y_t.
+    logdet_pre : (N,) log|S_{t-1}| (the pre-update scale).
+        A step whose pre-update factor has a zero singular value gets NaN
+        u, q and logdet_pre; the state is still advanced.
+    R : (p, p) upper triangular factor of the final scale S_N.
+    """
+    N, p = Y.shape
+    R = R0.copy()
+    scales = np.empty((N, p, p))
+    u = np.empty((N, p))
+    q = np.empty(N)
+    logdet_pre = np.empty(N)
+    sqrt_k = np.sqrt(k)
+    inv_sqrt_k = 1.0 / sqrt_k
+    x = np.empty(p)
+    for t in range(N):
+        y = Y[t]
+        _, d, vt = np.linalg.svd(R)
+        if d[p - 1] > 0.0:
+            z = vt @ np.ascontiguousarray(y)
+            ld = 0.0
+            qt = 0.0
+            for i in range(p):
+                ld += np.log(d[i])
+                qt += (z[i] / d[i]) ** 2
+            logdet_pre[t] = 2.0 * ld
+            q[t] = qt
+            u[t] = sqrt_k * (vt.T @ (z / d))
+        else:
+            logdet_pre[t] = np.nan
+            q[t] = np.nan
+            u[t] = np.nan
+        # S <- S/k + y y', carried out on the factor
+        for i in range(p):
+            for j in range(i, p):
+                R[i, j] *= inv_sqrt_k
+            x[i] = y[i]
+        for j in range(p):
+            rjj = R[j, j]
+            r = np.hypot(rjj, x[j])
+            c = r / rjj
+            s = x[j] / rjj
+            R[j, j] = r
+            for i in range(j + 1, p):
+                R[j, i] = (R[j, i] + s * x[i]) / c
+                x[i] = c * x[i] - s * R[j, i]
+        scales[t] = R.T @ R
+    return scales, u, q, logdet_pre, R
 
 
 def posterior_mean(cfg, state):
@@ -231,11 +276,7 @@ class FilterRun:
     def predictive_logdensity(self):
         """Observation-scale forecast log-density per step."""
         cfg = self.cfg
-        from .matstat import student_t_logpdf_from_sq
-
-        base = np.array([
-            student_t_logpdf_from_sq(s, cfg.forecast_df, cfg.p) for s in self.u_sq
-        ])
+        base = matstat.student_t_logpdf_from_sq(self.u_sq, cfg.forecast_df, cfg.p)
         return base + 0.5 * cfg.p * np.log(cfg.k) - 0.5 * self.logdet_pre
 
 
@@ -286,7 +327,7 @@ def run_filter(cfg, returns, approximate_prior=False):
             s = s / cfg.k + np.outer(returns[t], returns[t])
             scales[t] = s
     if start < N:
-        out = filter_core(np.ascontiguousarray(returns[start:]), r0, cfg.k, 0.0)
+        out = _filter_rows(np.ascontiguousarray(returns[start:]), r0, cfg.k)
         scales[start:], u[start:], q[start:], logdet_pre[start:], r_final = out
         if not approximate_prior and not np.all(np.isfinite(q[start:])):
             raise NotPositiveDefinite("filter scale matrix lost positive definiteness")

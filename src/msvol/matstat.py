@@ -85,19 +85,20 @@ def student_t_logpdf(u, n):
     deliberately not used here.)
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    return student_t_logpdf_from_sq(float(u @ u), n, u.shape[0])
+    return float(student_t_logpdf_from_sq(float(u @ u), n, u.shape[0]))
 
 
 def student_t_logpdf_from_sq(uu, n, p):
-    """Same as :func:`student_t_logpdf` but from the precomputed u'u."""
+    """Same as :func:`student_t_logpdf` but from the precomputed u'u.
+
+    `uu` may be an array of u'u values; the result has its shape.
+    """
     if n <= 0:
         raise DomainError(f"degrees of freedom must be positive, got {n}")
-    return float(
-        gammaln((n + p) / 2)
-        - gammaln(n / 2)
-        - (p / 2) * np.log(np.pi)
-        - ((n + p) / 2) * np.log1p(uu)
-    )
+    return (gammaln((n + p) / 2)
+            - gammaln(n / 2)
+            - (p / 2) * np.log(np.pi)
+            - ((n + p) / 2) * np.log1p(uu))
 
 
 def positive_eigenvalues(m, tol=None):

@@ -209,9 +209,6 @@ def test_criterion_7_full_run_within_time_budget(tmp_path):
     sim = simulator.SimConfig(p=p, delta=0.9, N=n, prior_scale=np.eye(p), seed=42)
     csv = tmp_path / "synthetic.csv"
     simulator.simulate_path(sim).to_csv(csv)
-    # warm the compiled kernel so the budget measures the run, not compilation
-    warm = filtering.new_config(2, 0.9, np.eye(2))
-    filtering.run_filter(warm, np.zeros((2, 2)) + 0.1)
     out = tmp_path / "run"
     t0 = time.perf_counter()
     status = cli.run(cli.RunSpec(input_path=str(csv), out_dir=str(out)))

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from msvol import cli
+from msvol import cli, filtering
 from msvol.errors import MissingValue, NonPositiveLevel, ParseError
 
 
@@ -56,6 +56,12 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="bogus"):
             cli.load_csv(f, "returns")
 
+    def test_non_finite_cell(self, tmp_path):
+        for cell in ("inf", "-Infinity", "1e999"):
+            f = write(tmp_path / "i.csv", f"a,b\n1.0,2.0\n{cell},0.5\n0.3,0.1\n")
+            with pytest.raises(ParseError, match="row 3, column a"):
+                cli.load_csv(f, "returns")
+
     def test_ragged_row(self, tmp_path):
         f = write(tmp_path / "rg.csv", "a,b\n0.1,0.2\n0.3\n")
         with pytest.raises(ParseError, match="row 3"):
@@ -78,12 +84,13 @@ class TestEmitSeries:
     def test_correlation_of_equicorrelated_scale(self, tmp_path):
         # posterior mean a I + b 11' has off-diagonal correlation b/(a+b)
         a, b = 2.0, 0.5
-        coef = 0.25
-        scale = (a * np.eye(3) + b * np.ones((3, 3))) / coef
+        cfg = filtering.new_config(3, 0.9, np.eye(3))
+        scale = (a * np.eye(3) + b * np.ones((3, 3))) / cfg.posterior_mean_coef
         frame = cli.ReturnsFrame(labels=["x", "y", "z"], times=["t1"],
                                  values=np.zeros((1, 3)))
-        runs = {0.9: {"scales": scale[None], "posterior_mean_coef": coef}}
-        paths = cli.emit_series(str(tmp_path), frame, runs, [0.9])
+        run = filtering.FilterRun(cfg=cfg, scales=scale[None], u=np.zeros((1, 3)),
+                                  q=np.zeros(1), logdet_pre=np.zeros(1))
+        paths = cli.emit_series(str(tmp_path), frame, {0.9: run})
         assert paths == [str(tmp_path / "series_delta_0.9.csv")]
         with open(paths[0], encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
@@ -207,6 +214,9 @@ class TestExitCodes:
         assert cli.main(["--input", bad]) == 2
         neg = write(tmp_path / "neg.csv", "a\n1.0\n-2.0\n")
         assert cli.main(["--input", neg, "--mode", "levels"]) == 2
+        inf = write(tmp_path / "inf.csv", "a,b\n1.0,2.0\ninf,0.5\n0.3,0.1\n")
+        assert cli.main(["--input", inf]) == 2
+        assert "row 3, column a" in capsys.readouterr().err
         capsys.readouterr()
 
     def test_failed_rows_do_not_abort(self, tmp_path, capsys):

@@ -142,13 +142,28 @@ class TestExactExpansion:
         cfg = filtering.new_config(5, 0.8, np.eye(5))
         ys = rng.standard_normal((50, 5))
         run = filtering.run_filter(cfg, ys)
+        density = run.predictive_logdensity
         state = filtering.initial_state(cfg)
         for t in range(50):
             state, out = filtering.step(cfg, state, ys[t])
-            np.testing.assert_allclose(out.u, run.u[t], rtol=1e-9, atol=1e-12)
-            assert math.isclose(out.q, run.q[t], rel_tol=1e-9)
-            np.testing.assert_allclose(state.scale, run.scales[t], rtol=1e-9)
-        np.testing.assert_allclose(state.scale, run.final_state.scale, rtol=1e-9)
+            np.testing.assert_array_equal(out.u, run.u[t])
+            np.testing.assert_array_equal(out.u_star, run.u_star[t])
+            assert out.q == run.q[t]
+            assert out.predictive_logdensity == density[t]
+            np.testing.assert_array_equal(state.scale, run.scales[t])
+        np.testing.assert_array_equal(state.scale_chol, run.final_state.scale_chol)
+
+
+class TestFactorInvariants:
+    def test_final_factor_reconstructs_scale(self):
+        rng = np.random.default_rng(2)
+        ys = rng.standard_normal((100, 4))
+        cfg = filtering.new_config(4, 0.97, np.eye(4))   # k = 109/106
+        run = filtering.run_filter(cfg, ys)
+        r = run.final_state.scale_chol
+        np.testing.assert_allclose(r.T @ r, run.scales[-1], rtol=1e-12)
+        assert np.all(np.diag(r) > 0)
+        assert np.allclose(np.triu(r), r)
 
 
 class TestMeans:

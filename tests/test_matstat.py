@@ -129,6 +129,13 @@ class TestStudentT:
                         - (n + p) / 2 * mpmath.log(1 + uu))
         got = matstat.student_t_logpdf([1.0, 1.0], 19.0)
         assert math.isclose(got, float(expected), rel_tol=1e-13)
+        # the u'u form takes an array and matches its scalar calls
+        uu = np.array([0.0, 2.0, 1e6])
+        many = matstat.student_t_logpdf_from_sq(uu, 19.0, 2)
+        assert many.shape == uu.shape
+        np.testing.assert_array_equal(
+            many, [matstat.student_t_logpdf_from_sq(x, 19.0, 2) for x in uu])
+        assert math.isclose(many[1], float(expected), rel_tol=1e-13)
 
     def test_integrates_to_one(self):
         # fine trapezoid over the p=1 density; the wide range covers the
