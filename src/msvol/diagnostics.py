@@ -21,7 +21,7 @@ import numpy as np
 
 from . import matstat
 from .errors import DimensionMismatch, DomainError, SingularityError
-from .filtering import new_config, run_filter
+from .filtering import new_config, require_finite, run_filter
 
 FLAT_EIGENVALUE_TOL = 1e-10
 
@@ -282,6 +282,7 @@ def grid_search(data, deltas, baseline_delta, prior_scale=None, prior_window=30,
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise DimensionMismatch(f"data must be 2-d, got shape {data.shape}")
+    require_finite(data, "data")
     deltas = sorted(set(float(d) for d in deltas))
     if not deltas:
         raise DomainError("empty discount-factor grid")

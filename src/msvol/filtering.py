@@ -22,6 +22,13 @@ factor keeps the effective condition at its square root.
 `step` passes a single observation through the same kernel.  Every
 factorization is recomputed from the factor at each step, so no incremental
 quantity ever degrades, which also subsumes any periodic refresh policy.
+
+The kernel runs the Givens sweep on plain Python floats, taking each
+hypotenuse from libm's `hypot` (via `np.hypot`; `math.hypot` rounds
+differently), and computes the per-step SVD, u, q and log|S_{t-1}| after
+the sweep in block-batched calls; `_filter_rows` says why.  Its outputs
+equal, bit for bit (q to one ulp), those of a per-step SVD-and-update loop
+on numpy scalars, which the tests keep as the reference.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +39,7 @@ from . import matstat
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 
 DELTA_MIN = 2.0 / 3.0
+_BLOCK = 256      # steps per batched SVD call after the update sweep
 
 
 def compute_k(delta, p):
@@ -124,6 +132,19 @@ class StepOutput:
     q: float                 # y' S^{-1} y, cached for the likelihood terms
 
 
+def require_finite(a, name):
+    """Raise DomainError naming the first non-finite entry of a 1-d or 2-d array.
+
+    Indices in the message are 0-based.
+    """
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        *row, col = bad[0]
+        where = f"row {row[0]}, column {col}" if row else f"column {col}"
+        raise DomainError(f"{name} has a non-finite value "
+                          f"({a[tuple(bad[0])]}) at {where}")
+
+
 def initial_state(cfg):
     """State at t = 0, holding the prior scale."""
     return FilterState(t=0, scale_chol=matstat.chol_upper(cfg.prior_scale))
@@ -141,6 +162,7 @@ def step(cfg, state, y):
     y = np.asarray(y, dtype=float)
     if y.shape != (cfg.p,):
         raise DimensionMismatch(f"observation has shape {y.shape}, expected ({cfg.p},)")
+    require_finite(y, "observation")
     scales, u, q, logdet_pre, r_new = _filter_rows(y[None, :], state.scale_chol, cfg.k)
     if np.isnan(logdet_pre[0]):
         raise NotPositiveDefinite("filter scale matrix lost positive definiteness")
@@ -155,6 +177,23 @@ def step(cfg, state, y):
 
 def _filter_rows(Y, R0, k):
     """One full filter pass over the rows of Y.
+
+    The pass has two stages.  The first runs the rank-one update
+    S <- S/k + y y' on the factor, one step after another, on plain Python
+    floats: R is a list of rows and y_t a list, because reading and writing
+    numpy scalars one at a time costs several times the arithmetic itself.
+    The hypotenuse comes from libm's `hypot` through `np.hypot`:
+    `math.hypot` rounds differently, and along an ill-conditioned path a
+    last-bit change grows into visibly different forecasts.  Each
+    post-update factor R_t is stored in the output buffer.
+
+    The second stage needs only the stored factors, so it runs after the
+    loop, in blocks of `_BLOCK` steps from the end backwards: one batched
+    SVD of the pre-update factors R_{t-1} gives u, q and log|S_{t-1}| with
+    the same products and summation order as a per-step SVD, and the
+    block's factors are then turned into R'R in place.  Going backwards
+    keeps R_{t-1} in factor form until step t has used it; the blocks keep
+    the temporaries small.
 
     Parameters
     ----------
@@ -174,47 +213,70 @@ def _filter_rows(Y, R0, k):
     R : (p, p) upper triangular factor of the final scale S_N.
     """
     N, p = Y.shape
-    R = R0.copy()
     scales = np.empty((N, p, p))
+    sqrt_k = np.sqrt(k)
+    inv_sqrt_k = float(1.0 / sqrt_k)
+    hypot = np.hypot
+    R = R0.tolist()
+    for t in range(N):
+        x = Y[t].tolist()
+        for j in range(p):
+            row = R[j]
+            rjj = row[j] * inv_sqrt_k
+            xj = x[j]
+            r = float(hypot(rjj, xj))
+            try:
+                c = r / rjj
+                s = xj / rjj
+            except ZeroDivisionError:
+                c, s = _divide_by_zero_pivot(r, xj, rjj)
+            row[j] = r
+            for i in range(j + 1, p):
+                rji = (row[i] * inv_sqrt_k + s * x[i]) / c
+                row[i] = rji
+                x[i] = c * x[i] - s * rji
+        scales[t] = R
+    R = np.array(R)
+
     u = np.empty((N, p))
     q = np.empty(N)
     logdet_pre = np.empty(N)
-    sqrt_k = np.sqrt(k)
-    inv_sqrt_k = 1.0 / sqrt_k
-    x = np.empty(p)
-    for t in range(N):
-        y = Y[t]
-        _, d, vt = np.linalg.svd(R)
-        if d[p - 1] > 0.0:
-            z = vt @ np.ascontiguousarray(y)
-            ld = 0.0
-            qt = 0.0
-            for i in range(p):
-                ld += np.log(d[i])
-                qt += (z[i] / d[i]) ** 2
-            logdet_pre[t] = 2.0 * ld
-            q[t] = qt
-            u[t] = sqrt_k * (vt.T @ (z / d))
+    for stop in range(N, 0, -_BLOCK):
+        start = max(stop - _BLOCK, 0)
+        if start > 0:
+            pre = scales[start - 1:stop - 1]
         else:
-            logdet_pre[t] = np.nan
-            q[t] = np.nan
-            u[t] = np.nan
-        # S <- S/k + y y', carried out on the factor
-        for i in range(p):
-            for j in range(i, p):
-                R[i, j] *= inv_sqrt_k
-            x[i] = y[i]
-        for j in range(p):
-            rjj = R[j, j]
-            r = np.hypot(rjj, x[j])
-            c = r / rjj
-            s = x[j] / rjj
-            R[j, j] = r
-            for i in range(j + 1, p):
-                R[j, i] = (R[j, i] + s * x[i]) / c
-                x[i] = c * x[i] - s * R[j, i]
-        scales[t] = R.T @ R
+            pre = np.concatenate((R0[None], scales[:stop - 1]))
+        _, d, vt = np.linalg.svd(pre)
+        z = (vt @ Y[start:stop, :, None])[..., 0]
+        ld = np.zeros(stop - start)
+        qt = np.zeros(stop - start)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = z / d
+            log_d = np.log(d)
+            for i in range(p):
+                ld += log_d[:, i]
+                # pow, as a numpy scalar's ** 2 is; w * w can differ by an ulp
+                qt += np.float_power(w[:, i], 2.0)
+            ub = sqrt_k * (vt.transpose(0, 2, 1) @ w[..., None])[..., 0]
+        singular = ~(d[:, p - 1] > 0.0)
+        ld[singular] = qt[singular] = ub[singular] = np.nan
+        logdet_pre[start:stop] = 2.0 * ld
+        q[start:stop] = qt
+        u[start:stop] = ub
+        blk = scales[start:stop]
+        scales[start:stop] = blk.transpose(0, 2, 1) @ blk
     return scales, u, q, logdet_pre, R
+
+
+def _divide_by_zero_pivot(r, xj, rjj):
+    """c = r/rjj and s = xj/rjj for a zero pivot, with IEEE inf/NaN results.
+
+    Python floats raise on division by zero; the step's outputs are NaN
+    either way (its pre-update factor is singular) and the state advances.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(r) / rjj), float(np.float64(xj) / rjj)
 
 
 def posterior_mean(cfg, state):
@@ -293,6 +355,7 @@ def run_filter(cfg, returns, approximate_prior=False):
         raise DimensionMismatch(
             f"returns must have shape (N, {cfg.p}), got {returns.shape}"
         )
+    require_finite(returns, "returns")
     N = returns.shape[0]
     if N == 0:
         empty = np.empty((0,))

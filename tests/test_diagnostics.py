@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -275,6 +276,14 @@ class TestGridSearch:
         assert report.best_delta() in self.deltas
         assert set(report.runs) == set(self.deltas)
         assert set(report.h_series) == set(self.deltas)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_data_rejected_before_scoring(self, bad):
+        data = np.array([[1.0, 2.0], [bad, 0.5], [0.3, 0.1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="row 1, column 0"):
+                diagnostics.grid_search(data, self.deltas, 0.95)
 
     def test_explicit_prior_scale(self):
         ys = simulate_returns(2, 100, seed=16)

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from msvol import filtering, matstat, simulator
-from msvol.errors import DimensionMismatch, DomainError
+from msvol.errors import DimensionMismatch, DomainError, NotPositiveDefinite
+from oracles import filter_rows_reference
 
 
 def make_state(cfg, scale):
@@ -108,6 +110,21 @@ class TestStep:
             fs = filtering.prior_mean_next(cfg, state)
             state, out = filtering.step(cfg, state, y)
             np.testing.assert_allclose(out.forecast_scale, fs, rtol=1e-12)
+
+    @pytest.mark.parametrize("y", [[1.0, 2.0], [1.0, 0.0]])
+    def test_zero_pivot_raises(self, y):
+        cfg = filtering.new_config(2, 0.9, np.eye(2))
+        state = filtering.FilterState(t=0, scale_chol=np.diag([1.0, 0.0]))
+        with pytest.raises(NotPositiveDefinite):
+            filtering.step(cfg, state, np.array(y))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_observation(self, bad):
+        cfg = filtering.new_config(2, 0.9, np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="column 1"):
+                filtering.step(cfg, filtering.initial_state(cfg), [0.5, bad])
 
     def test_u_star_is_scaled_u(self):
         rng = np.random.default_rng(3)
@@ -312,6 +329,16 @@ class TestRunFilter:
         with pytest.raises(DimensionMismatch):
             filtering.run_filter(cfg, np.zeros((5, 3)))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_returns(self, bad):
+        cfg = filtering.new_config(2, 0.9, np.eye(2))
+        ys = np.array([[1.0, 2.0], [bad, 0.5], [0.3, 0.1]])
+        for approximate_prior in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="row 1, column 0"):
+                    filtering.run_filter(cfg, ys, approximate_prior=approximate_prior)
+
     def test_approximate_prior_mode(self):
         rng = np.random.default_rng(9)
         cfg = filtering.new_config(3, 0.9, 100.0 * np.eye(3))
@@ -325,3 +352,50 @@ class TestRunFilter:
         err = np.linalg.norm(approx.scales[-1] - exact.scales[-1]) \
             / np.linalg.norm(exact.scales[-1])
         assert err < 1e-6
+
+
+def within_one_ulp(a, b):
+    both_nan = np.isnan(a) & np.isnan(b)
+    return np.all(both_nan | (a == b) | (np.abs(a - b) <= np.spacing(np.abs(b))))
+
+
+class TestReferenceKernel:
+    """The kernel reproduces the per-step numpy-scalar pass of tests/oracles.py.
+
+    Lengths straddle the kernel's SVD block, so the hand-over of R_{t-1}
+    between blocks is covered.  q may differ by one ulp: the reference
+    squares numpy scalars with `**`, the kernel arrays with `float_power`,
+    and numpy need not take both from the same pow.
+    """
+
+    B = filtering._BLOCK
+
+    @pytest.mark.parametrize("p", [1, 2, 8])
+    @pytest.mark.parametrize("n_blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_run_filter_matches_reference(self, p, n_blocks, extra):
+        N = n_blocks * self.B + extra
+        rng = np.random.default_rng(1000 * p + N)
+        prior = np.eye(p) + 0.2
+        cfg = filtering.new_config(p, 0.9, prior)
+        ys = rng.standard_normal((N, p)) * np.exp(rng.standard_normal((N, 1)))
+        run = filtering.run_filter(cfg, ys)
+        scales, u, q, logdet_pre, r = filter_rows_reference(
+            ys, matstat.chol_upper(cfg.prior_scale), cfg.k)
+        np.testing.assert_array_equal(run.scales, scales)
+        np.testing.assert_array_equal(run.u, u)
+        np.testing.assert_array_equal(run.logdet_pre, logdet_pre)
+        np.testing.assert_array_equal(run.final_state.scale_chol, r)
+        assert within_one_ulp(run.q, q)
+
+    def test_singular_start_matches_reference(self):
+        # a zero pivot: step 0 is NaN, the state still advances
+        rng = np.random.default_rng(5)
+        ys = rng.standard_normal((self.B + 2, 2))
+        r0 = np.diag([1.0, 0.0])
+        scales, u, q, logdet_pre, r = filtering._filter_rows(ys, r0, 1.1)
+        with np.errstate(all="ignore"):
+            want = filter_rows_reference(ys, r0, 1.1)
+        assert np.isnan(q[0]) and np.all(np.isfinite(q[1:]))
+        for got, ref in zip((scales, u, logdet_pre, r), want[:2] + want[3:]):
+            np.testing.assert_array_equal(got, ref)
+        assert within_one_ulp(q, want[2])
