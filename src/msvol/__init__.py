@@ -13,27 +13,22 @@ __version__ = "0.1.0"
 NUMBA_ENABLED = False
 
 from . import diagnostics, errors, filtering, matstat, simulator
-from .diagnostics import (BayesFactorSeries, GridReport, LikelihoodAccumulator,
-                          MsseAccumulator, bayes_factor, bayes_factor_series,
-                          grid_search, loglik_constant, loglik_term, loglik_total,
-                          msse_update)
+from .diagnostics import (GridReport, LikelihoodAccumulator, bayes_factor_series,
+                          grid_search, loglik_constant, loglik_total)
 from .filtering import (FilterRun, FilterState, ModelConfig, StepOutput,
-                        compute_k, expectation_invariance_check, initial_state,
-                        new_config, posterior_mean, prior_mean_next, run_filter,
-                        step)
-from .simulator import (SimConfig, SimPath, evolve_precision, rng_from_seed,
-                        sample_singular_beta, simulate_path,
-                        simulate_path_reference)
+                        compute_k, initial_state, new_config, posterior_mean,
+                        prior_mean_next, run_filter, step)
+from .simulator import (SimConfig, SimPath, rng_from_seed, sample_singular_beta,
+                        simulate_path)
 
 __all__ = [
     "NUMBA_ENABLED",
-    "BayesFactorSeries", "GridReport", "LikelihoodAccumulator",
-    "MsseAccumulator", "bayes_factor", "bayes_factor_series", "grid_search",
-    "loglik_constant", "loglik_term", "loglik_total", "msse_update",
+    "GridReport", "LikelihoodAccumulator", "bayes_factor_series", "grid_search",
+    "loglik_constant", "loglik_total",
     "FilterRun", "FilterState", "ModelConfig", "StepOutput", "compute_k",
-    "expectation_invariance_check", "initial_state", "new_config",
-    "posterior_mean", "prior_mean_next", "run_filter", "step",
-    "SimConfig", "SimPath", "evolve_precision", "rng_from_seed",
-    "sample_singular_beta", "simulate_path", "simulate_path_reference",
+    "initial_state", "new_config", "posterior_mean", "prior_mean_next",
+    "run_filter", "step",
+    "SimConfig", "SimPath", "rng_from_seed", "sample_singular_beta",
+    "simulate_path",
     "diagnostics", "errors", "filtering", "matstat", "simulator",
 ]

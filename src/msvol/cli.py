@@ -193,6 +193,15 @@ def run(spec):
         t0 = time.perf_counter()
         frame = load_csv(spec.input_path, spec.mode)
         timings["load_seconds"] = time.perf_counter() - t0
+        with np.errstate(over="ignore"):
+            values = frame.values * spec.scale
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            # CSV row as load_csv counts it; in levels mode, the later price
+            i, j = bad[0]
+            row = i + (3 if spec.mode == "levels" else 2)
+            raise DataError(f"--scale {spec.scale:g} makes the value at row "
+                            f"{row}, column {frame.labels[j]} non-finite")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -200,12 +209,11 @@ def run(spec):
         print(f"error: {spec.input_path}: {exc}", file=sys.stderr)
         return 2
 
-    values = frame.values * spec.scale
     try:
         t0 = time.perf_counter()
         report = grid_search(values, deltas, spec.baseline_delta,
                              prior_window=spec.prior_window,
-                             flat_day=spec.flat_day, keep_runs=True)
+                             flat_day=spec.flat_day)
         timings["grid_seconds"] = time.perf_counter() - t0
     except (DomainError,) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ Three measures score a discount factor against data:
 
 * the joint log-likelihood of the volatility path, evaluated at the plug-in
   posterior means (closed form; its time-t eigenvalue term collapses to a
-  rank-one expression, see `loglik_term` vs the fast path in `loglik_total`),
+  rank-one expression, see `loglik_total`),
 * the mean of squared standardized one-step forecast errors (MSSE), ideally
   the all-ones vector,
 * per-step log Bayes factors between two discount factors, computed on the
@@ -20,38 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matstat
-from .errors import DimensionMismatch, DomainError, SingularityError
+from .errors import DimensionMismatch, DomainError
 from .filtering import new_config, require_finite, run_filter
 
 FLAT_EIGENVALUE_TOL = 1e-10
-
-
-@dataclass
-class MsseAccumulator:
-    """Running mean of squared standardized forecast errors."""
-
-    p: int
-    count: int = 0
-    sums: np.ndarray = None
-
-    def __post_init__(self):
-        if self.sums is None:
-            self.sums = np.zeros(self.p)
-
-    def finalize(self):
-        if self.count == 0:
-            raise DomainError("no observations accumulated")
-        return self.sums / self.count
-
-
-def msse_update(acc, u_star):
-    """Add one standardized error vector to the accumulator (in place)."""
-    u_star = np.asarray(u_star, dtype=float)
-    if u_star.shape != (acc.p,):
-        raise DimensionMismatch(f"expected shape ({acc.p},), got {u_star.shape}")
-    acc.sums += u_star * u_star
-    acc.count += 1
-    return acc
 
 
 def loglik_constant(cfg, N):
@@ -69,52 +41,11 @@ def loglik_constant(cfg, N):
     )
 
 
-def loglik_term(cfg, sigma_prev_mean, sigma_curr_mean, y):
-    """Time-t summand of the plug-in log-likelihood, generic eigenvalue path.
-
-    Both matrices are plug-in posterior means of the volatility.  The
-    eigenvalue factor uses the matrix
-
-        I - (1/k) (U')^{-1} C^{-1} U^{-1}
-
-    with U the upper Cholesky factor of the previous plug-in precision and C
-    the current plug-in volatility; its positive eigenvalues form L_t.  For
-    states generated by the exact recursion this matrix is rank one, which
-    the fast path in `loglik_total` exploits; this function stays on the
-    generic eigendecomposition so the two routes can check each other.
-    """
-    from scipy.linalg import solve_triangular
-
-    sigma_prev_mean = matstat.validate_spd(sigma_prev_mean, "sigma_prev_mean")
-    sigma_curr_mean = matstat.validate_spd(sigma_curr_mean, "sigma_curr_mean")
-    y = np.asarray(y, dtype=float)
-    p, d = cfg.p, cfg.delta
-    prev_prec = np.linalg.inv(sigma_prev_mean)
-    curr_prec = np.linalg.inv(sigma_curr_mean)
-    u = matstat.chol_upper(prev_prec)
-    x = solve_triangular(u.T, curr_prec, lower=True)
-    inner = solve_triangular(u.T, x.T, lower=True).T
-    mat = np.eye(p) - inner / cfg.k
-    eig = matstat.positive_eigenvalues(mat)
-    if eig.size == 0:
-        raise SingularityError("no positive eigenvalue; log|L_t| undefined")
-    log_lt = float(np.sum(np.log(eig)))
-    a = (2 * d - 1) / (2 * (1 - d))
-    b = (3 * d - 2) / (2 * (1 - d))
-    return float(
-        -0.5 * (y @ curr_prec @ y)
-        + a * matstat.log_det(sigma_prev_mean)
-        - (p / 2) * log_lt
-        - b * matstat.log_det(sigma_curr_mean)
-    )
-
-
 @dataclass
 class LikelihoodAccumulator:
     """Running sums of the data-dependent likelihood terms."""
 
     constant_c: float
-    N: int = 0
     terms: float = 0.0
     flat_count: int = 0
 
@@ -141,7 +72,7 @@ def loglik_total(run, flat_day="floor"):
     cfg = run.cfg
     p, d, k = cfg.p, cfg.delta, cfg.k
     N = run.q.shape[0]
-    acc = LikelihoodAccumulator(constant_c=loglik_constant(cfg, N), N=N)
+    acc = LikelihoodAccumulator(constant_c=loglik_constant(cfg, N))
     if N == 0:
         return acc
     c_coef = cfg.posterior_mean_coef
@@ -161,40 +92,11 @@ def loglik_total(run, flat_day="floor"):
     return acc
 
 
-def bayes_factor(u1, n1, u2, n2):
-    """Log Bayes factor between two forecast densities of standardized errors.
-
-    Positive prefers the first model, negative the second, zero means
-    equivalence.  Computed as the difference of the standardized-t
-    log-densities, which equals the log of the gamma-ratio expression in
-    closed form.
-    """
-    return matstat.student_t_logpdf(u1, n1) - matstat.student_t_logpdf(u2, n2)
-
-
-@dataclass
-class BayesFactorSeries:
-    """Per-step log Bayes factors of one model against a baseline."""
-
-    values: np.ndarray
-
-    @property
-    def mean(self):
-        return float(np.mean(self.values)) if self.values.size else 0.0
-
-    @property
-    def positive_count(self):
-        return int(np.sum(self.values > 0))
-
-    @property
-    def positive_fraction(self):
-        return self.positive_count / self.values.size if self.values.size else 0.0
-
-
 def bayes_factor_series(run, baseline_run):
-    """Standardized-error-scale Bayes factors of `run` vs `baseline_run`.
+    """Per-step log Bayes factors of `run` vs `baseline_run`, an (N,) array.
 
-    Uses the per-u forecast densities.  For an observation-scale comparison
+    Positive prefers `run`.  Uses the per-u forecast densities, i.e. the
+    standardized-error scale.  For an observation-scale comparison
     take the difference of `FilterRun.predictive_logdensity` instead; that
     variant includes the standardization Jacobians.
     """
@@ -204,7 +106,7 @@ def bayes_factor_series(run, baseline_run):
     lp2 = matstat.student_t_logpdf_from_sq(baseline_run.u_sq,
                                            baseline_run.cfg.forecast_df,
                                            baseline_run.cfg.p)
-    return BayesFactorSeries(values=lp1 - lp2)
+    return lp1 - lp2
 
 
 @dataclass
@@ -270,7 +172,7 @@ class GridReport:
 
 
 def grid_search(data, deltas, baseline_delta, prior_scale=None, prior_window=30,
-                flat_day="floor", keep_runs=False):
+                flat_day="floor"):
     """Score every discount factor in `deltas` on an (N, p) return matrix.
 
     If `prior_scale` is None, each row uses the default prior: the identity
@@ -278,6 +180,7 @@ def grid_search(data, deltas, baseline_delta, prior_scale=None, prior_window=30,
     observations, normalized so the prior plug-in volatility matches that
     variance.  Failed rows are marked in the report and never abort the
     others; the baseline row's Bayes factor is exactly zero by construction.
+    `report.runs` holds the FilterRun of every row that succeeded.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -289,7 +192,6 @@ def grid_search(data, deltas, baseline_delta, prior_scale=None, prior_window=30,
     if float(baseline_delta) not in deltas:
         raise DomainError(f"baseline {baseline_delta} not in grid {deltas}")
     report = GridReport(baseline_delta=float(baseline_delta))
-    runs = {}
     for d in deltas:
         row = GridRow(delta=d)
         try:
@@ -303,23 +205,21 @@ def grid_search(data, deltas, baseline_delta, prior_scale=None, prior_window=30,
             row.mmsse = float(np.mean(msse))
             row.loglik = acc.total
             row.flat_count = acc.flat_count
-            runs[d] = run
+            report.runs[d] = run
         except Exception as exc:  # noqa: BLE001 - row isolation is the contract
             row.error = f"{type(exc).__name__}: {exc}"
         report.rows.append(row)
-    base_run = runs.get(float(baseline_delta))
+    base_run = report.runs.get(float(baseline_delta))
     for row in report.rows:
         if not row.ok:
             continue
         if base_run is None:
             row.error = "baseline row failed; Bayes factors unavailable"
             continue
-        series = bayes_factor_series(runs[row.delta], base_run)
-        report.h_series[row.delta] = series.values
-        row.mean_h = series.mean
-        row.h_positive_count = series.positive_count
-    if keep_runs:
-        report.runs = runs
+        h = bayes_factor_series(report.runs[row.delta], base_run)
+        report.h_series[row.delta] = h
+        row.mean_h = float(np.mean(h)) if h.size else 0.0
+        row.h_positive_count = int(np.sum(h > 0))
     return report
 
 
@@ -334,6 +234,7 @@ def default_prior_scale(data, delta, prior_window):
     window = data[: min(prior_window, data.shape[0])]
     if window.shape[0] < 2:
         raise DomainError("need at least 2 observations for the default prior")
+    require_finite(window, "burn-in window")
     v = float(np.mean(np.var(window, axis=0, ddof=1)))
     if not np.isfinite(v) or v <= 0.0:
         warnings.warn("burn-in window has no variance; using unit prior scale")

@@ -84,10 +84,7 @@ class ModelConfig:
 
 def new_config(p, delta, prior_scale):
     """Validate inputs and populate all derived constants."""
-    if p < 1:
-        raise DomainError(f"dimension must be >= 1, got {p}")
-    if not DELTA_MIN < delta < 1.0:
-        raise DomainError(f"discount factor must lie in (2/3, 1), got {delta}")
+    k = compute_k(delta, p)              # checks delta and p
     prior_scale = matstat.validate_spd(prior_scale, "prior_scale")
     if prior_scale.shape[0] != p:
         raise DimensionMismatch(
@@ -95,7 +92,7 @@ def new_config(p, delta, prior_scale):
         )
     n = 1.0 / (1.0 - delta)
     m = delta / (1.0 - delta) + p - 1
-    return ModelConfig(p=p, delta=delta, k=compute_k(delta, p), n=n, m=m,
+    return ModelConfig(p=p, delta=delta, k=k, n=n, m=m,
                        prior_scale=prior_scale)
 
 
@@ -110,15 +107,6 @@ class FilterState:
     def scale(self):
         """The scale matrix S_t itself."""
         return self.scale_chol.T @ self.scale_chol
-
-    @property
-    def precision_chol(self):
-        """Upper triangular U with U'U = S_t^{-1} (factor of the precision)."""
-        g = np.linalg.inv(self.scale_chol).T      # lower; g'g = S^{-1}
-        _, u = np.linalg.qr(g)
-        sign = np.sign(np.diag(u))
-        sign[sign == 0] = 1.0
-        return sign[:, None] * u
 
 
 @dataclass(frozen=True)
@@ -292,22 +280,6 @@ def prior_mean_next(cfg, state):
     return cfg.forecast_scale_coef * state.scale
 
 
-def expectation_invariance_check(cfg, state, k=None):
-    """Traces of the expected precision before and after the evolution.
-
-    Returns ((n+p-1) tr(S^{-1}), (d*n+p-1) * k * tr(S^{-1})).  With the
-    model's k the two agree to machine precision; with the naive k = 1/d and
-    p > 1 they differ by (p-1)(1/d - 1) tr(S^{-1}).
-    """
-    if k is None:
-        k = cfg.k
-    r_inv = np.linalg.inv(state.scale_chol)
-    tr = float(np.sum(r_inv * r_inv))      # tr(S^{-1}) = ||R^{-1}||_F^2
-    post = (cfg.n + cfg.p - 1) * tr
-    prior = (cfg.delta * cfg.n + cfg.p - 1) * k * tr
-    return post, prior
-
-
 @dataclass(frozen=True)
 class FilterRun:
     """Arrays produced by a full pass of the filter over a series."""
@@ -349,6 +321,9 @@ def run_filter(cfg, returns, approximate_prior=False):
     recursion (the weighted-sum approximation of S_t): the state starts at
     zero, and the outputs of the warm-up steps, before the accumulated scale
     becomes positive definite, are NaN.
+
+    The run holds the kernel's own arrays: only the warm-up rows of the
+    approximate mode are prepended, so the default mode copies nothing.
     """
     returns = np.asarray(returns, dtype=float)
     if returns.ndim != 2 or returns.shape[1] != cfg.p:
@@ -356,45 +331,31 @@ def run_filter(cfg, returns, approximate_prior=False):
             f"returns must have shape (N, {cfg.p}), got {returns.shape}"
         )
     require_finite(returns, "returns")
-    N = returns.shape[0]
-    if N == 0:
-        empty = np.empty((0,))
-        return FilterRun(cfg=cfg, scales=np.empty((0, cfg.p, cfg.p)),
-                         u=np.empty((0, cfg.p)), q=empty, logdet_pre=empty,
-                         final_state=initial_state(cfg))
-    start = 0
-    if approximate_prior:
+    r0 = matstat.chol_upper(cfg.prior_scale)
+    warm = []
+    if approximate_prior and len(returns):
+        # the truncated recursion from zero, up to its first full-rank scale
         s = np.zeros((cfg.p, cfg.p))
-        r0 = None
-        for t in range(N):
-            s = s / cfg.k + np.outer(returns[t], returns[t])
+        for y in returns:
+            s = s / cfg.k + np.outer(y, y)
+            warm.append(s)
             try:
                 r0 = matstat.chol_upper(s)
+                break
             except NotPositiveDefinite:
-                continue
-            start = t + 1
-            break
-        if r0 is None:
+                pass
+        else:
             raise NotPositiveDefinite("series never accumulates a full-rank scale")
-    else:
-        r0 = matstat.chol_upper(cfg.prior_scale)
-
-    scales = np.empty((N, cfg.p, cfg.p))
-    u = np.full((N, cfg.p), np.nan)
-    q = np.full(N, np.nan)
-    logdet_pre = np.full(N, np.nan)
-    if start > 0:
-        # warm-up scales from the truncated recursion; outputs stay NaN
-        s = np.zeros((cfg.p, cfg.p))
-        for t in range(start):
-            s = s / cfg.k + np.outer(returns[t], returns[t])
-            scales[t] = s
-    if start < N:
-        out = _filter_rows(np.ascontiguousarray(returns[start:]), r0, cfg.k)
-        scales[start:], u[start:], q[start:], logdet_pre[start:], r_final = out
-        if not approximate_prior and not np.all(np.isfinite(q[start:])):
-            raise NotPositiveDefinite("filter scale matrix lost positive definiteness")
-    else:
-        r_final = matstat.chol_upper(scales[-1])
+    start = len(warm)
+    scales, u, q, logdet_pre, r_final = _filter_rows(
+        np.ascontiguousarray(returns[start:]), r0, cfg.k)
+    if not approximate_prior and not np.all(np.isfinite(q)):
+        raise NotPositiveDefinite("filter scale matrix lost positive definiteness")
+    if warm:
+        # warm-up steps keep their truncated scales; their outputs are NaN
+        scales = np.concatenate((warm, scales))
+        u = np.concatenate((np.full((start, cfg.p), np.nan), u))
+        q = np.concatenate((np.full(start, np.nan), q))
+        logdet_pre = np.concatenate((np.full(start, np.nan), logdet_pre))
     return FilterRun(cfg=cfg, scales=scales, u=u, q=q, logdet_pre=logdet_pre,
-                     final_state=FilterState(t=N, scale_chol=r_final))
+                     final_state=FilterState(t=len(returns), scale_chol=r_final))

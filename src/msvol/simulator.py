@@ -22,8 +22,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import matstat
-from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
-from .filtering import compute_k, new_config
+from .errors import DomainError, NotPositiveDefinite
+from .filtering import new_config
 
 
 @dataclass(frozen=True)
@@ -90,19 +90,6 @@ def sample_singular_beta(m, p, rng, size=None):
     return 0.5 * (b + np.transpose(b, (0, 2, 1)))
 
 
-def evolve_precision(prev_precision, b, k):
-    """One precision evolution step: k * U' B U with U'U = prev_precision."""
-    prev_precision = matstat.validate_spd(prev_precision, "prev_precision")
-    b = np.asarray(b, dtype=float)
-    if b.shape != prev_precision.shape:
-        raise DimensionMismatch(
-            f"beta draw has shape {b.shape}, expected {prev_precision.shape}"
-        )
-    u = matstat.chol_upper(prev_precision)
-    out = k * (u.T @ b @ u)
-    return matstat.validate_spd(out, "evolved precision")
-
-
 def simulate_path(cfg):
     """Generate a SimPath from a SimConfig; deterministic for a fixed seed."""
     model = new_config(cfg.p, cfg.delta, cfg.prior_scale)   # validates inputs
@@ -136,26 +123,3 @@ def simulate_path(cfg):
         returns[t] = vt.T @ ((vt @ eps) / sv)
     return SimPath(sigmas=sigmas, returns=returns)
 
-
-def simulate_path_reference(cfg):
-    """Matrix-space twin of `simulate_path` built from the public primitives.
-
-    Same draw sequence, same algebra, but evolves the precision explicitly
-    through `sample_singular_beta` and `evolve_precision`.  Only suitable for
-    short paths (the explicit precision loses positive definiteness once its
-    condition number reaches float range); used to cross-check the factored
-    path generator.
-    """
-    model = new_config(cfg.p, cfg.delta, cfg.prior_scale)
-    p, k, n, m = cfg.p, model.k, model.n, model.m
-    rng = rng_from_seed(cfg.seed)
-    sigmas = np.empty((cfg.N, p, p))
-    returns = np.empty((cfg.N, p))
-    prec = matstat.wishart_sample(n + p - 1, np.linalg.inv(model.prior_scale), rng)
-    for t in range(cfg.N):
-        b = sample_singular_beta(m, p, rng)
-        prec = evolve_precision(prec, b, k)
-        root = matstat.sym_inv_sqrt(prec)          # = Sigma^{1/2}
-        sigmas[t] = root @ root
-        returns[t] = root @ rng.standard_normal(p)
-    return SimPath(sigmas=sigmas, returns=returns)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,16 @@ class TestExitCodes:
         inf = write(tmp_path / "inf.csv", "a,b\n1.0,2.0\ninf,0.5\n0.3,0.1\n")
         assert cli.main(["--input", inf]) == 2
         assert "row 3, column a" in capsys.readouterr().err
+        # --scale overflows a finite cell: a data error naming the CSV cell
+        big = write(tmp_path / "big.csv", "a,b\n0.1,1e300\n0.2,0.3\n")
+        levels = write(tmp_path / "levels.csv", "a,b\n1.0,1.0\n1e300,2.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["--input", big, "--scale", "1e10"]) == 2
+            assert "row 2, column b" in capsys.readouterr().err
+            assert cli.main(["--input", levels, "--mode", "levels",
+                             "--scale", "1e307"]) == 2
+            assert "row 3, column a" in capsys.readouterr().err
         capsys.readouterr()
 
     def test_failed_rows_do_not_abort(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from msvol import filtering, matstat, simulator
 from msvol.errors import DimensionMismatch, DomainError, NotPositiveDefinite
-from oracles import filter_rows_reference
+from oracles import expectation_invariance_check, filter_rows_reference
 
 
 def make_state(cfg, scale):
@@ -224,7 +225,7 @@ class TestExpectationInvariance:
         for _ in range(25):
             m = rng.standard_normal((p, p))
             state = make_state(cfg, m.T @ m + np.eye(p))
-            a, b = filtering.expectation_invariance_check(cfg, state)
+            a, b = expectation_invariance_check(cfg, state)
             assert abs(a - b) <= 1e-12 * abs(a)
 
     def test_wrong_k_discrepancy(self):
@@ -233,7 +234,7 @@ class TestExpectationInvariance:
         cfg = filtering.new_config(p, delta, np.eye(p))
         m = rng.standard_normal((p, p))
         state = make_state(cfg, m.T @ m + np.eye(p))
-        a, b = filtering.expectation_invariance_check(cfg, state, k=1.0 / delta)
+        a, b = expectation_invariance_check(cfg, state, k=1.0 / delta)
         tr = float(np.trace(np.linalg.inv(state.scale)))
         expected = (p - 1) * (1.0 / delta - 1.0) * tr
         assert abs((b - a) - expected) <= 1e-12 * abs(a)
@@ -241,7 +242,7 @@ class TestExpectationInvariance:
     def test_wrong_k_exempt_at_p1(self):
         cfg = filtering.new_config(1, 0.9, np.array([[2.0]]))
         state = make_state(cfg, np.array([[2.0]]))
-        a, b = filtering.expectation_invariance_check(cfg, state, k=1.0 / 0.9)
+        a, b = expectation_invariance_check(cfg, state, k=1.0 / 0.9)
         assert abs(a - b) <= 1e-12 * abs(a)
 
     def test_elementwise_identity(self):
@@ -320,9 +321,27 @@ class TestStandardizedErrorsMonteCarlo:
 class TestRunFilter:
     def test_empty_series(self):
         cfg = filtering.new_config(2, 0.9, np.eye(2))
-        run = filtering.run_filter(cfg, np.empty((0, 2)))
-        assert run.q.shape == (0,)
-        assert run.final_state.t == 0
+        for approximate_prior in (False, True):
+            run = filtering.run_filter(cfg, np.empty((0, 2)),
+                                       approximate_prior=approximate_prior)
+            assert run.q.shape == (0,)
+            assert run.scales.shape == (0, 2, 2) and run.u.shape == (0, 2)
+            assert run.final_state.t == 0
+            np.testing.assert_array_equal(run.final_state.scale_chol,
+                                          matstat.chol_upper(cfg.prior_scale))
+
+    def test_no_second_scale_buffer(self):
+        # the run holds the kernel's arrays; a copy would double the peak
+        p, N = 8, 10_000
+        cfg = filtering.new_config(p, 0.95, np.eye(p))
+        ys = np.random.default_rng(6).standard_normal((N, p))
+        tracemalloc.start()
+        try:
+            run = filtering.run_filter(cfg, ys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * run.scales.nbytes
 
     def test_dimension_mismatch(self):
         cfg = filtering.new_config(2, 0.9, np.eye(2))
@@ -352,6 +371,45 @@ class TestRunFilter:
         err = np.linalg.norm(approx.scales[-1] - exact.scales[-1]) \
             / np.linalg.norm(exact.scales[-1])
         assert err < 1e-6
+
+    @staticmethod
+    def rank_growing(n_rank1, n_after):
+        # rows span e1 only, then e1, e2, then all three axes: the truncated
+        # scale is exactly singular until the first row with a third component
+        rng = np.random.default_rng(10)
+        ys = rng.standard_normal((n_rank1 + 1 + n_after, 3))
+        ys[:n_rank1, 1:] = 0.0
+        ys[n_rank1, 2] = 0.0
+        return ys
+
+    def test_approximate_prior_warm_up(self):
+        cfg = filtering.new_config(3, 0.9, np.eye(3))
+        ys = self.rank_growing(4, 40)
+        full_rank = 5                      # first step with a full-rank scale
+        run = filtering.run_filter(cfg, ys, approximate_prior=True)
+        s = np.zeros((3, 3))
+        for t in range(full_rank + 1):
+            s = s / cfg.k + np.outer(ys[t], ys[t])
+            np.testing.assert_array_equal(run.scales[t], s)
+        for out in (run.u, run.q, run.logdet_pre):
+            assert np.all(np.isnan(out[:full_rank + 1]))
+            assert np.all(np.isfinite(out[full_rank + 1:]))
+
+    def test_approximate_prior_full_rank_at_last_row(self):
+        cfg = filtering.new_config(3, 0.9, np.eye(3))
+        ys = self.rank_growing(4, 1)       # full rank only at row 5, the last
+        run = filtering.run_filter(cfg, ys, approximate_prior=True)
+        assert run.final_state.t == 6
+        assert np.all(np.isnan(run.q))
+        np.testing.assert_array_equal(run.final_state.scale_chol,
+                                      matstat.chol_upper(run.scales[-1]))
+
+    def test_approximate_prior_never_full_rank(self):
+        cfg = filtering.new_config(3, 0.9, np.eye(3))
+        ys = np.random.default_rng(11).standard_normal((20, 3))
+        ys[:, 2] = 0.0                     # rows span two of three dimensions
+        with pytest.raises(NotPositiveDefinite):
+            filtering.run_filter(cfg, ys, approximate_prior=True)
 
 
 def within_one_ulp(a, b):

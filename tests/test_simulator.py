@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from msvol import cli, diagnostics, filtering, matstat, simulator
+from msvol import cli, filtering, matstat, simulator
 from msvol.errors import DimensionMismatch, DomainError
+from oracles import (MsseAccumulator, evolve_precision, msse_update,
+                     simulate_path_reference)
 
 
 class TestSingularBeta:
@@ -56,16 +58,16 @@ class TestSingularBeta:
 class TestEvolvePrecision:
     def test_identity_beta(self):
         prec = np.array([[2.0, 0.3], [0.3, 1.0]])
-        out = simulator.evolve_precision(prec, np.eye(2), 1.05)
+        out = evolve_precision(prec, np.eye(2), 1.05)
         np.testing.assert_allclose(out, 1.05 * prec, rtol=1e-12)
 
     def test_scalar_case(self):
-        out = simulator.evolve_precision(np.array([[4.0]]), np.array([[0.5]]), 1.1)
+        out = evolve_precision(np.array([[4.0]]), np.array([[0.5]]), 1.1)
         np.testing.assert_allclose(out, [[2.2]], rtol=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            simulator.evolve_precision(np.eye(2), np.eye(3), 1.0)
+            evolve_precision(np.eye(2), np.eye(3), 1.0)
 
     def test_wishart_closure_mean(self):
         # precision ~ W(n+p-1, S^{-1}) pushed through a beta step stays
@@ -122,7 +124,7 @@ class TestSimulatePath:
     def test_matches_reference_generator(self):
         cfg = self.cfg(N=50, prior_scale=np.diag([1.0, 4.0, 0.25]))
         fast = simulator.simulate_path(cfg)
-        ref = simulator.simulate_path_reference(cfg)
+        ref = simulate_path_reference(cfg)
         np.testing.assert_allclose(fast.sigmas, ref.sigmas, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(fast.returns, ref.returns, rtol=1e-8, atol=1e-12)
 
@@ -135,12 +137,12 @@ class TestSimulatePath:
         # standardizing each return by its own true volatility gives unit
         # mean squared errors; short paths keep the explicit inverse root
         # well conditioned, so aggregate over many of them
-        acc = diagnostics.MsseAccumulator(p=4)
+        acc = MsseAccumulator(p=4)
         for seed in range(50):
             path = simulator.simulate_path(
                 self.cfg(p=4, N=100, prior_scale=np.eye(4), seed=seed))
             for sigma, y in zip(path.sigmas, path.returns):
-                diagnostics.msse_update(acc, matstat.sym_inv_sqrt(sigma) @ y)
+                msse_update(acc, matstat.sym_inv_sqrt(sigma) @ y)
         np.testing.assert_allclose(acc.finalize(), np.ones(4), atol=0.05)
 
 
