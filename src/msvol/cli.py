@@ -170,6 +170,26 @@ def emit_series(out_dir, frame, runs):
     return paths
 
 
+def _return_bound(deltas, p, window):
+    """Largest |return| below which the grid's scale matrices stay finite.
+
+    Each term of `growth` bounds, in units of M^2 for returns below M, a sum
+    the grid computes:
+    - the diagonal of S_t = S_0 k^-t + sum_j k^-j y y', a weighted mean of
+      S_0 and (n+p-1) M^2 with n = 1/(1-delta), as the weights k^-j sum to
+      k/(k-1) = n+p-1;
+    - S_0 + S_0', which symmetrizes the default prior S_0 = (n-2) v I, where
+      v is the mean of p sample variances of w burn-in rows, each at most
+      w/(w-1) M^2;
+    - the w squares in a column's variance and the p variances in v.
+    The largest delta has the largest n.
+    """
+    n = 1.0 / (1.0 - max(deltas))
+    w = max(window, 2)
+    growth = max(n + p - 1.0, w, w / (w - 1.0) * max(2.0 * (n - 2.0), p))
+    return math.sqrt(sys.float_info.max / growth)
+
+
 def run(spec):
     """Execute one analysis run; returns a process exit status."""
     timings = {}
@@ -195,13 +215,17 @@ def run(spec):
         timings["load_seconds"] = time.perf_counter() - t0
         with np.errstate(over="ignore"):
             values = frame.values * spec.scale
-        bad = np.argwhere(~np.isfinite(values))
+        bound = _return_bound(deltas, values.shape[1],
+                              min(spec.prior_window, values.shape[0]))
+        bad = np.argwhere(np.abs(values) >= bound)
         if bad.size:
             # CSV row as load_csv counts it; in levels mode, the later price
             i, j = bad[0]
             row = i + (3 if spec.mode == "levels" else 2)
-            raise DataError(f"--scale {spec.scale:g} makes the value at row "
-                            f"{row}, column {frame.labels[j]} non-finite")
+            scaled = f" after --scale {spec.scale:g}" if spec.scale != 1.0 else ""
+            raise DataError(f"the return at row {row}, column {frame.labels[j]} "
+                            f"is {values[i, j]:g}{scaled}; the scale matrix "
+                            f"overflows unless every |return| < {bound:.4g}")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

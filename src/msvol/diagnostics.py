@@ -14,6 +14,7 @@ Three measures score a discount factor against data:
 report with one row per candidate, compared against a baseline.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -227,7 +228,8 @@ def default_prior_scale(data, delta, prior_window):
     """Identity prior scale sized from the burn-in sample variance.
 
     Scaled by (n-2) so the prior plug-in volatility S0/(n-2) equals the
-    burn-in variance times the identity.
+    burn-in variance times the identity.  A variance, or a scale, that
+    overflows float64 raises DomainError.
     """
     if prior_window < 2:
         raise DomainError(f"prior window must be >= 2, got {prior_window}")
@@ -235,9 +237,13 @@ def default_prior_scale(data, delta, prior_window):
     if window.shape[0] < 2:
         raise DomainError("need at least 2 observations for the default prior")
     require_finite(window, "burn-in window")
-    v = float(np.mean(np.var(window, axis=0, ddof=1)))
-    if not np.isfinite(v) or v <= 0.0:
+    with np.errstate(over="ignore"):
+        v = float(np.mean(np.var(window, axis=0, ddof=1)))
+    n = 1.0 / (1.0 - delta)
+    if not math.isfinite((n - 2.0) * v):
+        raise DomainError("the burn-in variance overflows float64; "
+                          "scale the returns down")
+    if v <= 0.0:
         warnings.warn("burn-in window has no variance; using unit prior scale")
         v = 1.0
-    n = 1.0 / (1.0 - delta)
     return (n - 2.0) * v * np.eye(data.shape[1])

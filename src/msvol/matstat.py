@@ -4,8 +4,9 @@ Everything here operates on plain float64 ndarrays and is pure: no shared
 state, safe to call from multiple threads.
 """
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 
@@ -42,21 +43,6 @@ def chol_upper(a):
         raise NotPositiveDefinite("Cholesky pivot <= 0") from None
 
 
-def sym_inv_sqrt(a):
-    """Symmetric B with B a B = I (spectral inverse square root)."""
-    a = np.asarray(a, dtype=float)
-    w, v = np.linalg.eigh(0.5 * (a + a.T))
-    if w[0] <= 0.0:
-        raise NotPositiveDefinite("matrix has a non-positive eigenvalue")
-    return (v / np.sqrt(w)) @ v.T
-
-
-def log_det(a):
-    """log-determinant of a positive definite matrix, via Cholesky."""
-    u = chol_upper(a)
-    return 2.0 * float(np.sum(np.log(np.diag(u))))
-
-
 def log_multigamma(p, a):
     """Logarithm of the multivariate gamma function of dimension p at a.
 
@@ -67,12 +53,12 @@ def log_multigamma(p, a):
         raise DomainError(f"dimension must be >= 1, got {p}")
     if a <= (p - 1) / 2:
         raise DomainError(f"multigamma argument {a} <= (p-1)/2 = {(p - 1) / 2}")
-    j = np.arange(1, p + 1)
-    return p * (p - 1) / 4 * np.log(np.pi) + float(np.sum(gammaln(a - (j - 1) / 2)))
+    return p * (p - 1) / 4 * math.log(math.pi) + sum(math.lgamma(a - j / 2)
+                                                     for j in range(p))
 
 
-def student_t_logpdf(u, n):
-    """Log-density of the standardized multivariate Student-t at u.
+def student_t_logpdf_from_sq(uu, n, p):
+    """Log-density of the standardized multivariate Student-t, from u'u.
 
     Uses the convention in which the degrees of freedom n enter only through
     the exponent:
@@ -82,36 +68,15 @@ def student_t_logpdf(u, n):
 
     so the identity scale matrix carries no df normalizer inside the
     quadratic form.  (A df-normalized variant would divide u'u by n; it is
-    deliberately not used here.)
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return float(student_t_logpdf_from_sq(float(u @ u), n, u.shape[0]))
-
-
-def student_t_logpdf_from_sq(uu, n, p):
-    """Same as :func:`student_t_logpdf` but from the precomputed u'u.
-
-    `uu` may be an array of u'u values; the result has its shape.
+    deliberately not used here.)  `uu` may be an array of u'u values; the
+    result has its shape.
     """
     if n <= 0:
         raise DomainError(f"degrees of freedom must be positive, got {n}")
-    return (gammaln((n + p) / 2)
-            - gammaln(n / 2)
-            - (p / 2) * np.log(np.pi)
+    return (math.lgamma((n + p) / 2)
+            - math.lgamma(n / 2)
+            - (p / 2) * math.log(math.pi)
             - ((n + p) / 2) * np.log1p(uu))
-
-
-def positive_eigenvalues(m, tol=None):
-    """Eigenvalues of the symmetrized input exceeding `tol`, descending.
-
-    Default tolerance is 1e-10 * max(1, ||m||); it only has to separate
-    analytically-zero eigenvalues from floating-point noise.
-    """
-    m = np.asarray(m, dtype=float)
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
-    if tol is None:
-        tol = 1e-10 * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    return np.sort(w[w > tol])[::-1]
 
 
 def bartlett_lower(df, p, rng):
@@ -133,22 +98,3 @@ def _bartlett_lower_batch(df, p, rng, size):
         il = np.tril_indices(p, -1)
         t[:, il[0], il[1]] = rng.standard_normal((size, il[0].shape[0]))
     return t
-
-
-def wishart_sample(df, scale, rng, size=None):
-    """Draw from Wishart(df, scale) via the Bartlett construction.
-
-    With L the lower Cholesky factor of `scale` and T a Bartlett factor,
-    a draw is L T T' L'; the mean over draws is df * scale.  `size=None`
-    returns a single (p, p) draw, an integer returns a (size, p, p) stack.
-    """
-    scale = validate_spd(scale, "scale")
-    p = scale.shape[0]
-    if df <= p - 1:
-        raise DomainError(f"Wishart df must exceed p-1={p - 1}, got {df}")
-    low = np.linalg.cholesky(scale)
-    if size is None:
-        m = low @ bartlett_lower(df, p, rng)
-        return m @ m.T
-    m = low[None, :, :] @ _bartlett_lower_batch(df, p, rng, size)
-    return m @ np.transpose(m, (0, 2, 1))

@@ -19,7 +19,6 @@ reproducible across platforms for a given seed.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import matstat
 from .errors import DomainError, NotPositiveDefinite
@@ -69,29 +68,29 @@ def sample_singular_beta(m, p, rng, size=None):
     Constructive sampler: A ~ Wishart(m, I), x ~ N(0, I), U the upper
     Cholesky factor of A + xx'; the draw is (U')^{-1} A U^{-1}.  The result
     is symmetric with eigenvalues in [0, 1] and I - B of rank one almost
-    surely.  At p = 1 it reduces to a scalar Beta(m/2, 1/2).
+    surely.  At p = 1 it reduces to a scalar Beta(m/2, 1/2).  `size=None`
+    returns one (p, p) draw, the first of a batch of one; an integer returns
+    a (size, p, p) stack.
     """
     if m <= p - 1:
         raise DomainError(f"beta parameter m must exceed p-1={p - 1}, got {m}")
-    if size is None:
-        t = matstat.bartlett_lower(m, p, rng)
-        a = t @ t.T
-        x = rng.standard_normal(p)
-        low = np.linalg.cholesky(a + np.outer(x, x))    # U' with U upper
-        w = solve_triangular(low, a, lower=True)
-        b = solve_triangular(low, w.T, lower=True)
-        return 0.5 * (b + b.T)
-    t = matstat._bartlett_lower_batch(m, p, rng, size)
+    batch = 1 if size is None else size
+    t = matstat._bartlett_lower_batch(m, p, rng, batch)
     a = t @ np.transpose(t, (0, 2, 1))
-    x = rng.standard_normal((size, p))
+    x = rng.standard_normal((batch, p))
     low = np.linalg.cholesky(a + x[:, :, None] * x[:, None, :])
     w = np.linalg.solve(low, a)
     b = np.linalg.solve(low, np.transpose(w, (0, 2, 1)))
-    return 0.5 * (b + np.transpose(b, (0, 2, 1)))
+    b = 0.5 * (b + np.transpose(b, (0, 2, 1)))
+    return b[0] if size is None else b
 
 
 def simulate_path(cfg):
     """Generate a SimPath from a SimConfig; deterministic for a fixed seed."""
+    # imported here, not at module level: the analysis path imports this
+    # module and runs on numpy alone
+    from scipy.linalg import solve_triangular
+
     model = new_config(cfg.p, cfg.delta, cfg.prior_scale)   # validates inputs
     if cfg.N < 0:
         raise DomainError(f"path length must be >= 0, got {cfg.N}")
@@ -101,8 +100,8 @@ def simulate_path(cfg):
     returns = np.empty((cfg.N, p))
     if cfg.N == 0:
         return SimPath(sigmas=sigmas, returns=returns)
-    # precision_0 ~ Wishart(n+p-1, prior_scale^{-1}), drawn exactly as
-    # matstat.wishart_sample would, but kept in factor form from the start
+    # precision_0 ~ Wishart(n+p-1, prior_scale^{-1}) by the Bartlett
+    # construction, kept in factor form from the start
     prior_prec = np.linalg.inv(model.prior_scale)
     low0 = np.linalg.cholesky(0.5 * (prior_prec + prior_prec.T))
     w = (low0 @ matstat.bartlett_lower(n + p - 1, p, rng)).T   # upper, W'W = prec

@@ -10,9 +10,67 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from msvol import matstat
-from msvol.errors import DimensionMismatch, DomainError, SingularityError
+from msvol.errors import (DimensionMismatch, DomainError, NotPositiveDefinite,
+                          SingularityError)
 from msvol.filtering import new_config
 from msvol.simulator import SimPath, rng_from_seed, sample_singular_beta
+
+
+def sym_inv_sqrt(a):
+    """Symmetric B with B a B = I (spectral inverse square root)."""
+    a = np.asarray(a, dtype=float)
+    w, v = np.linalg.eigh(0.5 * (a + a.T))
+    if w[0] <= 0.0:
+        raise NotPositiveDefinite("matrix has a non-positive eigenvalue")
+    return (v / np.sqrt(w)) @ v.T
+
+
+def log_det(a):
+    """log-determinant of a positive definite matrix, via Cholesky."""
+    u = matstat.chol_upper(a)
+    return 2.0 * float(np.sum(np.log(np.diag(u))))
+
+
+def student_t_logpdf(u, n):
+    """Log-density of the standardized multivariate Student-t at the vector u.
+
+    `matstat.student_t_logpdf_from_sq` of u'u, with the dimension taken
+    from u.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    return float(matstat.student_t_logpdf_from_sq(float(u @ u), n, u.shape[0]))
+
+
+def positive_eigenvalues(m, tol=None):
+    """Eigenvalues of the symmetrized input exceeding `tol`, descending.
+
+    Default tolerance is 1e-10 * max(1, ||m||); it only has to separate
+    analytically-zero eigenvalues from floating-point noise.
+    """
+    m = np.asarray(m, dtype=float)
+    w = np.linalg.eigvalsh(0.5 * (m + m.T))
+    if tol is None:
+        tol = 1e-10 * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
+    return np.sort(w[w > tol])[::-1]
+
+
+def wishart_sample(df, scale, rng, size=None):
+    """Draw from Wishart(df, scale) via the Bartlett construction.
+
+    With L the lower Cholesky factor of `scale` and T a Bartlett factor,
+    a draw is L T T' L'; the mean over draws is df * scale.  `size=None`
+    returns a single (p, p) draw, an integer returns a (size, p, p) stack.
+    """
+    scale = matstat.validate_spd(scale, "scale")
+    p = scale.shape[0]
+    if df <= p - 1:
+        raise DomainError(f"Wishart df must exceed p-1={p - 1}, got {df}")
+    low = np.linalg.cholesky(scale)
+    if size is None:
+        m = low @ matstat.bartlett_lower(df, p, rng)
+        return m @ m.T
+    m = low[None, :, :] @ matstat._bartlett_lower_batch(df, p, rng, size)
+    return m @ np.transpose(m, (0, 2, 1))
 
 
 def filter_rows_reference(Y, R0, k):
@@ -133,7 +191,7 @@ def loglik_term(cfg, sigma_prev_mean, sigma_curr_mean, y):
     x = solve_triangular(u.T, curr_prec, lower=True)
     inner = solve_triangular(u.T, x.T, lower=True).T
     mat = np.eye(p) - inner / cfg.k
-    eig = matstat.positive_eigenvalues(mat)
+    eig = positive_eigenvalues(mat)
     if eig.size == 0:
         raise SingularityError("no positive eigenvalue; log|L_t| undefined")
     log_lt = float(np.sum(np.log(eig)))
@@ -141,9 +199,9 @@ def loglik_term(cfg, sigma_prev_mean, sigma_curr_mean, y):
     b = (3 * d - 2) / (2 * (1 - d))
     return float(
         -0.5 * (y @ curr_prec @ y)
-        + a * matstat.log_det(sigma_prev_mean)
+        + a * log_det(sigma_prev_mean)
         - (p / 2) * log_lt
-        - b * matstat.log_det(sigma_curr_mean)
+        - b * log_det(sigma_curr_mean)
     )
 
 
@@ -155,7 +213,7 @@ def bayes_factor(u1, n1, u2, n2):
     log-densities, which equals the log of the gamma-ratio expression in
     closed form.
     """
-    return matstat.student_t_logpdf(u1, n1) - matstat.student_t_logpdf(u2, n2)
+    return student_t_logpdf(u1, n1) - student_t_logpdf(u2, n2)
 
 
 def evolve_precision(prev_precision, b, k):
@@ -185,11 +243,11 @@ def simulate_path_reference(cfg):
     rng = rng_from_seed(cfg.seed)
     sigmas = np.empty((cfg.N, p, p))
     returns = np.empty((cfg.N, p))
-    prec = matstat.wishart_sample(n + p - 1, np.linalg.inv(model.prior_scale), rng)
+    prec = wishart_sample(n + p - 1, np.linalg.inv(model.prior_scale), rng)
     for t in range(cfg.N):
         b = sample_singular_beta(m, p, rng)
         prec = evolve_precision(prec, b, k)
-        root = matstat.sym_inv_sqrt(prec)          # = Sigma^{1/2}
+        root = sym_inv_sqrt(prec)          # = Sigma^{1/2}
         sigmas[t] = root @ root
         returns[t] = root @ rng.standard_normal(p)
     return SimPath(sigmas=sigmas, returns=returns)

@@ -14,7 +14,8 @@ from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
 from msvol import cli, diagnostics, filtering, matstat, simulator
-from oracles import expectation_invariance_check, loglik_term
+from oracles import (expectation_invariance_check, loglik_term, positive_eigenvalues,
+                     wishart_sample)
 
 GRID = (0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 TRUE_DELTA = 0.95
@@ -100,7 +101,7 @@ def test_criterion_3_likelihood_decomposition_consistency():
         u = matstat.chol_upper(np.linalg.inv(prev))
         x = solve_triangular(u.T, np.linalg.inv(curr), lower=True)
         inner = solve_triangular(u.T, x.T, lower=True).T
-        eig = matstat.positive_eigenvalues(np.eye(p) - inner / cfg.k)
+        eig = positive_eigenvalues(np.eye(p) - inner / cfg.k)
         generic = float(np.sum(np.log(eig)))
         closed = math.log(run.q[t] / (1 / cfg.k + run.q[t]))
         ok &= abs(generic - closed) <= 1e-9 * max(1.0, abs(closed))
@@ -240,7 +241,7 @@ def test_criterion_8_simulator_distributional_checks():
 
     cfg = filtering.new_config(2, 0.9, np.eye(2))
     s = np.array([[2.0, 0.4], [0.4, 1.0]])
-    prec = matstat.wishart_sample(cfg.n + 1, np.linalg.inv(s), rng, size=100_000)
+    prec = wishart_sample(cfg.n + 1, np.linalg.inv(s), rng, size=100_000)
     bb = simulator.sample_singular_beta(cfg.m, 2, rng, size=100_000)
     uc = np.transpose(np.linalg.cholesky(prec), (0, 2, 1))
     evolved = cfg.k * np.transpose(uc, (0, 2, 1)) @ bb @ uc

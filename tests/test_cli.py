@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from msvol import cli, filtering
+from msvol import cli, diagnostics, filtering
 from msvol.errors import MissingValue, NonPositiveLevel, ParseError
 
 
@@ -250,3 +250,66 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert cli.main(["--input", bad, "--out", str(out)]) == 2
         assert not out.exists()
+
+
+def worst_case_returns(n, p, window, magnitude, seed=0):
+    """Returns of one magnitude with random signs, the burn-in rows
+    alternating in sign, which gives them the largest sample variance."""
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(n, p))
+    signs[:window] = np.where(np.arange(window) % 2 == 0, 1.0, -1.0)[:, None]
+    return magnitude * signs
+
+
+def write_returns(path, values):
+    labels = "abcdefgh"[:values.shape[1]]
+    return write(path, ",".join(labels) + "\n" + "".join(
+        ",".join("%.17g" % x for x in row) + "\n" for row in values))
+
+
+class TestHugeReturns:
+    """Returns too large for the scale matrix are a data error, exit 2."""
+
+    # default --deltas and --prior-window, two columns
+    BOUND = cli._return_bound(cli.DEFAULT_DELTAS, 2, 30)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e100])
+    def test_just_below_bound_runs_clean(self, tmp_path, capsys, scale):
+        values = worst_case_returns(400, 2, 30, 0.999 * self.BOUND / scale)
+        csv = write_returns(tmp_path / "r.csv", values)
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["--input", csv, "--out", str(out),
+                             "--scale", repr(scale)]) == 0
+        with open(out / "grid_report.json", encoding="utf-8") as fh:
+            assert all(r["error"] is None for r in json.load(fh)["rows"])
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("cell, scale", [
+        (1.001 * BOUND, 1.0), (-1.001 * BOUND / 1e100, 1e100),
+        (1e300, 1.0), (1e200, 1e100)])
+    def test_at_or_above_bound_is_a_data_error(self, tmp_path, capsys, cell, scale):
+        values = worst_case_returns(400, 2, 30, 0.5 * self.BOUND / scale)
+        values[5, 1] = cell
+        csv = write_returns(tmp_path / "r.csv", values)
+        out = tmp_path / "run"
+        args = ["--input", csv, "--out", str(out)]
+        if scale != 1.0:
+            args += ["--scale", repr(scale)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert "row 7, column b" in err
+        assert ("--scale" in err) == (scale != 1.0)
+        assert "%.4g" % self.BOUND in err
+        assert not out.exists()
+
+    def test_bound_is_where_the_grid_overflows(self):
+        # worst-case returns 1% above the bound overflow the largest delta's
+        # row, so the bound rejects no data the grid could score
+        data = worst_case_returns(400, 2, 30, 1.01 * self.BOUND)
+        with np.errstate(over="raise"):
+            report = diagnostics.grid_search(data, cli.DEFAULT_DELTAS, 0.95)
+        top = max(report.rows, key=lambda r: r.delta)
+        assert "overflow" in top.error

@@ -319,6 +319,16 @@ class TestDefaultPriorScale:
             with pytest.raises(DomainError, match="row 1, column 0"):
                 diagnostics.default_prior_scale(data, 0.9, 30)
 
+    @pytest.mark.parametrize("data", [
+        [[1e154, 1.0], [-1e154, 2.0], [0.5, 0.1]],   # the sum of squares
+        [[5e153, 1.0], [-5e153, 2.0]],               # (n-2) v
+    ])
+    def test_overflowing_variance_rejected(self, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="burn-in variance overflows"):
+                diagnostics.default_prior_scale(np.array(data), 0.9, 30)
+
     def test_window_validation(self):
         with pytest.raises(DomainError):
             diagnostics.default_prior_scale(np.ones((50, 2)), 0.9, 1)

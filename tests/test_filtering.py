@@ -7,7 +7,8 @@ import pytest
 
 from msvol import filtering, matstat, simulator
 from msvol.errors import DimensionMismatch, DomainError, NotPositiveDefinite
-from oracles import expectation_invariance_check, filter_rows_reference
+from oracles import (expectation_invariance_check, filter_rows_reference, sym_inv_sqrt,
+                     wishart_sample)
 
 
 def make_state(cfg, scale):
@@ -305,14 +306,14 @@ class TestStandardizedErrorsMonteCarlo:
         state = make_state(cfg, np.array([[2.0, 0.5], [0.5, 1.0]]))
         rng = simulator.rng_from_seed(123)
         s_inv = np.linalg.inv(state.scale)
-        prec = matstat.wishart_sample(cfg.n + p - 1, s_inv, rng, size=size)
+        prec = wishart_sample(cfg.n + p - 1, s_inv, rng, size=size)
         b = simulator.sample_singular_beta(cfg.m, p, rng, size=size)
         uc = np.transpose(np.linalg.cholesky(prec), (0, 2, 1))
         prec_next = cfg.k * np.transpose(uc, (0, 2, 1)) @ b @ uc
         w, v = np.linalg.eigh(prec_next)
         eps = rng.standard_normal((size, p))
         y = np.einsum("nij,nj->ni", v, np.einsum("nji,nj->ni", v, eps) / np.sqrt(w))
-        root = matstat.sym_inv_sqrt(filtering.prior_mean_next(cfg, state))
+        root = sym_inv_sqrt(filtering.prior_mean_next(cfg, state))
         u_star = y @ root.T
         second_moment = (u_star[:, :, None] * u_star[:, None, :]).mean(axis=0)
         np.testing.assert_allclose(second_moment, np.eye(p), atol=0.03)

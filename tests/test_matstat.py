@@ -9,6 +9,8 @@ from scipy.special import gammaln
 
 from msvol import matstat
 from msvol.errors import DomainError, NotPositiveDefinite
+from oracles import (log_det, positive_eigenvalues, student_t_logpdf, sym_inv_sqrt,
+                     wishart_sample)
 
 
 def random_spd(p, rng, jitter=1.0):
@@ -48,38 +50,38 @@ class TestCholUpper:
 
 class TestSymInvSqrt:
     def test_identity(self):
-        np.testing.assert_allclose(matstat.sym_inv_sqrt(np.eye(4)), np.eye(4))
+        np.testing.assert_allclose(sym_inv_sqrt(np.eye(4)), np.eye(4))
 
     def test_diagonal(self):
-        b = matstat.sym_inv_sqrt(np.diag([4.0, 16.0]))
+        b = sym_inv_sqrt(np.diag([4.0, 16.0]))
         np.testing.assert_allclose(b, np.diag([0.5, 0.25]))
 
     @settings(deadline=None, max_examples=40)
     @given(p=st.integers(1, 16), seed=st.integers(0, 2**31))
     def test_bab_identity(self, p, seed):
         a = random_spd(p, np.random.default_rng(seed))
-        b = matstat.sym_inv_sqrt(a)
+        b = sym_inv_sqrt(a)
         np.testing.assert_allclose(b, b.T, atol=1e-12)
         np.testing.assert_allclose(b @ a @ b, np.eye(p), atol=1e-8)
 
     def test_not_pd(self):
         with pytest.raises(NotPositiveDefinite):
-            matstat.sym_inv_sqrt(np.zeros((2, 2)))
+            sym_inv_sqrt(np.zeros((2, 2)))
 
 
 class TestLogDet:
     def test_identity(self):
-        assert matstat.log_det(np.eye(5)) == 0.0
+        assert log_det(np.eye(5)) == 0.0
 
     def test_diagonal(self):
-        assert math.isclose(matstat.log_det(np.diag([2.0, 3.0])), math.log(6.0))
+        assert math.isclose(log_det(np.diag([2.0, 3.0])), math.log(6.0))
 
     def test_eigen_oracle(self):
         rng = np.random.default_rng(3)
         for p in (2, 5, 9):
             a = random_spd(p, rng)
             oracle = float(np.sum(np.log(np.linalg.eigvalsh(a))))
-            assert math.isclose(matstat.log_det(a), oracle, rel_tol=1e-10, abs_tol=1e-10)
+            assert math.isclose(log_det(a), oracle, rel_tol=1e-10, abs_tol=1e-10)
 
 
 class TestLogMultigamma:
@@ -109,16 +111,40 @@ class TestLogMultigamma:
             matstat.log_multigamma(3, 1.0)
 
 
+@pytest.mark.parametrize("delta", [0.7, 0.75, 0.8, 0.85, 0.9, 0.95])
+@pytest.mark.parametrize("p", range(1, 9))
+def test_gamma_terms_at_grid_arguments(p, delta):
+    # the only arguments msvol passes to lgamma: both log_multigamma calls of
+    # diagnostics.loglik_constant and the constant of the forecast density
+    # (u'u = 0), for the CLI's default grid.  Errors are in units of
+    # eps * max(1, |value|); measured maxima: 5.0 and 11.5 (scipy's gammaln:
+    # 1.0 and 4.7), the second a difference of two larger log-gammas
+    def units(got, exact):
+        return abs(got - float(exact)) / (np.finfo(float).eps * max(1.0, abs(float(exact))))
+
+    for a in ((delta * (1 - p) + p) / (2 * (1 - delta)),
+              (delta * (2 - p) + p - 1) / (2 * (1 - delta))):
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(p * (p - 1)) / 4 * mpmath.log(mpmath.pi) + mpmath.fsum(
+                mpmath.loggamma(mpmath.mpf(a) - mpmath.mpf(j) / 2) for j in range(p))
+        assert units(matstat.log_multigamma(p, a), exact) <= 6.0
+    n = delta / (1 - delta)              # forecast degrees of freedom
+    with mpmath.workdps(50):
+        exact = (mpmath.loggamma((mpmath.mpf(n) + p) / 2) - mpmath.loggamma(mpmath.mpf(n) / 2)
+                 - mpmath.mpf(p) / 2 * mpmath.log(mpmath.pi))
+    assert units(matstat.student_t_logpdf_from_sq(0.0, n, p), exact) <= 12.0
+
+
 class TestStudentT:
     def test_cauchy_at_zero(self):
-        assert math.isclose(matstat.student_t_logpdf([0.0], 1.0),
+        assert math.isclose(student_t_logpdf([0.0], 1.0),
                             math.log(1.0 / math.pi))
 
     def test_zero_vector(self):
         for p, n in ((1, 5.0), (3, 19.0), (8, 2.5)):
             expected = float(gammaln((n + p) / 2) - gammaln(n / 2)) \
                 - (p / 2) * math.log(math.pi)
-            got = matstat.student_t_logpdf(np.zeros(p), n)
+            got = student_t_logpdf(np.zeros(p), n)
             assert math.isclose(got, expected, rel_tol=1e-14)
 
     def test_high_precision_point(self):
@@ -127,7 +153,7 @@ class TestStudentT:
             expected = (mpmath.loggamma((n + p) / 2) - mpmath.loggamma(n / 2)
                         - p * mpmath.log(mpmath.pi) / 2
                         - (n + p) / 2 * mpmath.log(1 + uu))
-        got = matstat.student_t_logpdf([1.0, 1.0], 19.0)
+        got = student_t_logpdf([1.0, 1.0], 19.0)
         assert math.isclose(got, float(expected), rel_tol=1e-13)
         # the u'u form takes an array and matches its scalar calls
         uu = np.array([0.0, 2.0, 1e6])
@@ -144,22 +170,22 @@ class TestStudentT:
             grid = np.linspace(-20000.0, 20000.0, 8_000_001)
             dens = np.exp(gammaln((n + 1) / 2) - gammaln(n / 2)
                           - 0.5 * np.log(np.pi) - ((n + 1) / 2) * np.log1p(grid**2))
-            ref = matstat.student_t_logpdf([grid[123]], n)
+            ref = student_t_logpdf([grid[123]], n)
             assert math.isclose(ref, float(np.log(dens[123])), rel_tol=1e-12)
             assert abs(np.trapezoid(dens, grid) - 1.0) < 1e-4
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            matstat.student_t_logpdf([0.0], 0.0)
+            student_t_logpdf([0.0], 0.0)
 
 
 class TestPositiveEigenvalues:
     def test_zero_matrix(self):
-        assert matstat.positive_eigenvalues(np.zeros((4, 4))).size == 0
+        assert positive_eigenvalues(np.zeros((4, 4))).size == 0
 
     def test_rank_one(self):
         v = np.array([1.0, 2.0, -2.0])
-        eig = matstat.positive_eigenvalues(np.outer(v, v))
+        eig = positive_eigenvalues(np.outer(v, v))
         assert eig.shape == (1,)
         assert math.isclose(eig[0], float(v @ v), rel_tol=1e-12)
 
@@ -169,13 +195,13 @@ class TestPositiveEigenvalues:
         q, _ = np.linalg.qr(rng.standard_normal((p, p)))
         for r in range(0, p + 1):
             proj = q[:, :r] @ q[:, :r].T
-            eig = matstat.positive_eigenvalues(proj)
+            eig = positive_eigenvalues(proj)
             assert eig.shape == (r,)
             if r:
                 np.testing.assert_allclose(eig, 1.0, atol=1e-10)
 
     def test_descending(self):
-        eig = matstat.positive_eigenvalues(np.diag([1.0, 3.0, 2.0, -1.0]))
+        eig = positive_eigenvalues(np.diag([1.0, 3.0, 2.0, -1.0]))
         np.testing.assert_allclose(eig, [3.0, 2.0, 1.0])
 
 
@@ -183,23 +209,23 @@ class TestWishartSample:
     def test_single_draw_pd(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            draw = matstat.wishart_sample(5.0, np.eye(2), rng)
+            draw = wishart_sample(5.0, np.eye(2), rng)
             assert np.all(np.linalg.eigvalsh(draw) > 0)
 
     def test_moment(self):
         rng = np.random.default_rng(12)
-        draws = matstat.wishart_sample(5.0, np.eye(2), rng, size=200_000)
+        draws = wishart_sample(5.0, np.eye(2), rng, size=200_000)
         mean = draws.mean(axis=0)
         np.testing.assert_allclose(mean, 5.0 * np.eye(2), atol=0.02 * 5.0)
 
     def test_variance_identity(self):
         # Var(w_11) = 2 * df * v_11^2
         rng = np.random.default_rng(13)
-        draws = matstat.wishart_sample(3.0, np.diag([1.0, 4.0]), rng, size=400_000)
+        draws = wishart_sample(3.0, np.diag([1.0, 4.0]), rng, size=400_000)
         var = draws[:, 0, 0].var()
         assert abs(var - 6.0) / 6.0 < 0.05
 
     def test_domain(self):
         rng = np.random.default_rng(1)
         with pytest.raises(DomainError):
-            matstat.wishart_sample(1.0, np.eye(3), rng)
+            wishart_sample(1.0, np.eye(3), rng)

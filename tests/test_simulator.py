@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from msvol import cli, filtering, matstat, simulator
+from msvol import cli, filtering, simulator
 from msvol.errors import DimensionMismatch, DomainError
 from oracles import (MsseAccumulator, evolve_precision, msse_update,
-                     simulate_path_reference)
+                     simulate_path_reference, sym_inv_sqrt, wishart_sample)
 
 
 class TestSingularBeta:
@@ -77,7 +77,7 @@ class TestEvolvePrecision:
         s = np.array([[2.0, 0.4], [0.4, 1.0]])
         rng = simulator.rng_from_seed(5)
         size = 100_000
-        prec = matstat.wishart_sample(cfg.n + p - 1, np.linalg.inv(s), rng, size=size)
+        prec = wishart_sample(cfg.n + p - 1, np.linalg.inv(s), rng, size=size)
         b = simulator.sample_singular_beta(cfg.m, p, rng, size=size)
         uc = np.transpose(np.linalg.cholesky(prec), (0, 2, 1))
         evolved = cfg.k * np.transpose(uc, (0, 2, 1)) @ b @ uc
@@ -142,7 +142,7 @@ class TestSimulatePath:
             path = simulator.simulate_path(
                 self.cfg(p=4, N=100, prior_scale=np.eye(4), seed=seed))
             for sigma, y in zip(path.sigmas, path.returns):
-                msse_update(acc, matstat.sym_inv_sqrt(sigma) @ y)
+                msse_update(acc, sym_inv_sqrt(sigma) @ y)
         np.testing.assert_allclose(acc.finalize(), np.ones(4), atol=0.05)
 
 
