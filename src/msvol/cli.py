@@ -20,8 +20,7 @@ import numpy as np
 from . import NUMBA_ENABLED, __version__
 from .diagnostics import grid_search
 from .errors import (DataError, DomainError, MissingValue, MsvolError,
-                     NonPositiveLevel, NotPositiveDefinite, ParseError,
-                     SingularityError)
+                     NonPositiveLevel, NotPositiveDefinite, ParseError)
 from .simulator import SimConfig, simulate_path
 
 DEFAULT_DELTAS = (0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
@@ -35,21 +34,6 @@ class ReturnsFrame:
     labels: list
     times: list
     values: np.ndarray
-
-
-@dataclass
-class RunSpec:
-    """Everything one analysis run needs."""
-
-    input_path: str
-    mode: str = "returns"                    # "levels" or "returns"
-    deltas: tuple = DEFAULT_DELTAS
-    baseline_delta: float = 0.95
-    prior_window: int = 30
-    flat_day: str = "floor"
-    out_dir: str = "."
-    seed: int = 0
-    scale: float = 1.0
 
 
 def _parse_cell(text, row, col):
@@ -178,51 +162,59 @@ def _return_bound(deltas, p, window):
     - the diagonal of S_t = S_0 k^-t + sum_j k^-j y y', a weighted mean of
       S_0 and (n+p-1) M^2 with n = 1/(1-delta), as the weights k^-j sum to
       k/(k-1) = n+p-1;
-    - S_0 + S_0', which symmetrizes the default prior S_0 = (n-2) v I, where
-      v is the mean of p sample variances of w burn-in rows, each at most
-      w/(w-1) M^2;
+    - the default prior S_0 = (n-2) v I, where v is the mean of p sample
+      variances of w burn-in rows, each at most w/(w-1) M^2;
     - the w squares in a column's variance and the p variances in v.
     The largest delta has the largest n.
     """
     n = 1.0 / (1.0 - max(deltas))
     w = max(window, 2)
-    growth = max(n + p - 1.0, w, w / (w - 1.0) * max(2.0 * (n - 2.0), p))
+    growth = max(n + p - 1.0, w, w / (w - 1.0) * max(n - 2.0, p))
     return math.sqrt(sys.float_info.max / growth)
 
 
-def run(spec):
-    """Execute one analysis run; returns a process exit status."""
+def run(args):
+    """Execute one analysis run from the parsed options of `build_parser`.
+
+    Returns a process exit status.
+    """
     timings = {}
     t_total = time.perf_counter()
     try:
-        deltas = sorted(set(float(d) for d in spec.deltas))
+        try:
+            deltas = sorted(set(float(d) for d in args.deltas.split(",")
+                                if d.strip() != ""))
+        except ValueError:
+            raise DomainError(f"cannot parse --deltas {args.deltas!r}") from None
         if not deltas:
             raise DomainError("empty discount-factor grid")
         for d in deltas:
             if not 2.0 / 3.0 < d < 1.0:
                 raise DomainError(f"discount factor {d} outside (2/3, 1)")
-        if float(spec.baseline_delta) not in deltas:
-            raise DomainError(f"baseline {spec.baseline_delta} not in grid")
-        if spec.scale <= 0.0 or not math.isfinite(spec.scale):
-            raise DomainError(f"scale must be positive and finite, got {spec.scale}")
+        if args.baseline not in deltas:
+            raise DomainError(f"baseline {args.baseline} not in grid")
+        if args.scale <= 0.0 or not math.isfinite(args.scale):
+            raise DomainError(f"scale must be positive and finite, got {args.scale}")
+        if args.prior_window < 2:
+            raise DomainError(f"prior window must be >= 2, got {args.prior_window}")
     except MsvolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     try:
         t0 = time.perf_counter()
-        frame = load_csv(spec.input_path, spec.mode)
+        frame = load_csv(args.input, args.mode)
         timings["load_seconds"] = time.perf_counter() - t0
         with np.errstate(over="ignore"):
-            values = frame.values * spec.scale
+            values = frame.values * args.scale
         bound = _return_bound(deltas, values.shape[1],
-                              min(spec.prior_window, values.shape[0]))
+                              min(args.prior_window, values.shape[0]))
         bad = np.argwhere(np.abs(values) >= bound)
         if bad.size:
             # CSV row as load_csv counts it; in levels mode, the later price
             i, j = bad[0]
-            row = i + (3 if spec.mode == "levels" else 2)
-            scaled = f" after --scale {spec.scale:g}" if spec.scale != 1.0 else ""
+            row = i + (3 if args.mode == "levels" else 2)
+            scaled = f" after --scale {args.scale:g}" if args.scale != 1.0 else ""
             raise DataError(f"the return at row {row}, column {frame.labels[j]} "
                             f"is {values[i, j]:g}{scaled}; the scale matrix "
                             f"overflows unless every |return| < {bound:.4g}")
@@ -230,24 +222,24 @@ def run(spec):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:
-        print(f"error: {spec.input_path}: {exc}", file=sys.stderr)
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 2
 
     try:
         t0 = time.perf_counter()
-        report = grid_search(values, deltas, spec.baseline_delta,
-                             prior_window=spec.prior_window,
-                             flat_day=spec.flat_day)
+        report = grid_search(values, deltas, args.baseline,
+                             prior_window=args.prior_window,
+                             flat_day=args.flat_day)
         timings["grid_seconds"] = time.perf_counter() - t0
-    except (DomainError,) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NotPositiveDefinite, SingularityError) as exc:
+    except NotPositiveDefinite as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
     ok_rows = [r for r in report.rows if r.ok]
-    if not ok_rows or not any(r.delta == float(spec.baseline_delta) for r in ok_rows):
+    if not ok_rows or not any(r.delta == args.baseline for r in ok_rows):
         print("numerical failure: baseline row failed", file=sys.stderr)
         for r in report.rows:
             if not r.ok:
@@ -255,17 +247,17 @@ def run(spec):
         return 3
 
     t0 = time.perf_counter()
-    os.makedirs(spec.out_dir, exist_ok=True)
-    with open(os.path.join(spec.out_dir, "grid_report.tsv"), "w",
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "grid_report.tsv"), "w",
               encoding="utf-8") as fh:
         fh.write(report.to_tsv())
-    with open(os.path.join(spec.out_dir, "grid_report.json"), "w",
+    with open(os.path.join(args.out, "grid_report.json"), "w",
               encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    series_paths = emit_series(spec.out_dir, frame, report.runs)
+    series_paths = emit_series(args.out, frame, report.runs)
     cols = [d for d in deltas if d in report.h_series]
-    _write_table(os.path.join(spec.out_dir, "bayes_factors.csv"),
+    _write_table(os.path.join(args.out, "bayes_factors.csv"),
                  ["time"] + [f"H_{d:g}" for d in cols], frame.times,
                  lambda lo, hi: np.column_stack([report.h_series[d][lo:hi]
                                                  for d in cols]))
@@ -275,17 +267,17 @@ def run(spec):
     manifest = {
         "version": __version__,
         "numba_enabled": NUMBA_ENABLED,
-        "input": spec.input_path,
-        "mode": spec.mode,
-        "scale_applied": spec.scale,
+        "input": args.input,
+        "mode": args.mode,
+        "scale_applied": args.scale,
         "n_observations": int(values.shape[0]),
         "n_series": int(values.shape[1]),
         "labels": frame.labels,
         "deltas": deltas,
-        "baseline_delta": float(spec.baseline_delta),
-        "prior_window": spec.prior_window,
-        "flat_day": spec.flat_day,
-        "seed": spec.seed,
+        "baseline_delta": args.baseline,
+        "prior_window": args.prior_window,
+        "flat_day": args.flat_day,
+        "seed": args.seed,
         "best_delta": report.best_delta(),
         "flat_day_counts": {("%g" % r.delta): r.flat_count for r in ok_rows},
         "failed_rows": {("%g" % r.delta): r.error
@@ -296,12 +288,12 @@ def run(spec):
             + [os.path.basename(s) for s in series_paths]
         ),
     }
-    with open(os.path.join(spec.out_dir, "manifest.json"), "w",
+    with open(os.path.join(args.out, "manifest.json"), "w",
               encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(report.to_tsv(), end="")
-    print(f"wrote {spec.out_dir} "
+    print(f"wrote {args.out} "
           f"(grid {timings['grid_seconds']:.2f}s, total {timings['total_seconds']:.2f}s)")
     return 0
 
@@ -371,16 +363,7 @@ def main(argv=None):
         print("error: --input is required unless --simulate is given",
               file=sys.stderr)
         return 1
-    try:
-        deltas = tuple(float(x) for x in args.deltas.split(",") if x.strip() != "")
-    except ValueError:
-        print(f"error: cannot parse --deltas {args.deltas!r}", file=sys.stderr)
-        return 1
-    spec = RunSpec(input_path=args.input, mode=args.mode, deltas=deltas,
-                   baseline_delta=args.baseline, prior_window=args.prior_window,
-                   flat_day=args.flat_day, out_dir=args.out, seed=args.seed,
-                   scale=args.scale)
-    return run(spec)
+    return run(args)
 
 
 if __name__ == "__main__":

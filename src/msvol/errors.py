@@ -17,10 +17,6 @@ class NotPositiveDefinite(MsvolError):
     """A matrix required to be positive definite is not."""
 
 
-class SingularityError(MsvolError):
-    """A quantity whose logarithm is required degenerated to zero."""
-
-
 class DataError(MsvolError):
     """Base class for ingestion failures."""
 

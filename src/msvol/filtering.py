@@ -314,16 +314,10 @@ class FilterRun:
         return base + 0.5 * cfg.p * np.log(cfg.k) - 0.5 * self.logdet_pre
 
 
-def run_filter(cfg, returns, approximate_prior=False):
-    """Run the filter over an (N, p) return matrix.
+def run_filter(cfg, returns):
+    """Run the filter over an (N, p) return matrix, from the prior scale.
 
-    With `approximate_prior=True` the prior scale is dropped from the
-    recursion (the weighted-sum approximation of S_t): the state starts at
-    zero, and the outputs of the warm-up steps, before the accumulated scale
-    becomes positive definite, are NaN.
-
-    The run holds the kernel's own arrays: only the warm-up rows of the
-    approximate mode are prepended, so the default mode copies nothing.
+    The run holds the kernel's own arrays; nothing is copied.
     """
     returns = np.asarray(returns, dtype=float)
     if returns.ndim != 2 or returns.shape[1] != cfg.p:
@@ -331,31 +325,9 @@ def run_filter(cfg, returns, approximate_prior=False):
             f"returns must have shape (N, {cfg.p}), got {returns.shape}"
         )
     require_finite(returns, "returns")
-    r0 = matstat.chol_upper(cfg.prior_scale)
-    warm = []
-    if approximate_prior and len(returns):
-        # the truncated recursion from zero, up to its first full-rank scale
-        s = np.zeros((cfg.p, cfg.p))
-        for y in returns:
-            s = s / cfg.k + np.outer(y, y)
-            warm.append(s)
-            try:
-                r0 = matstat.chol_upper(s)
-                break
-            except NotPositiveDefinite:
-                pass
-        else:
-            raise NotPositiveDefinite("series never accumulates a full-rank scale")
-    start = len(warm)
     scales, u, q, logdet_pre, r_final = _filter_rows(
-        np.ascontiguousarray(returns[start:]), r0, cfg.k)
-    if not approximate_prior and not np.all(np.isfinite(q)):
+        np.ascontiguousarray(returns), matstat.chol_upper(cfg.prior_scale), cfg.k)
+    if not np.all(np.isfinite(q)):
         raise NotPositiveDefinite("filter scale matrix lost positive definiteness")
-    if warm:
-        # warm-up steps keep their truncated scales; their outputs are NaN
-        scales = np.concatenate((warm, scales))
-        u = np.concatenate((np.full((start, cfg.p), np.nan), u))
-        q = np.concatenate((np.full(start, np.nan), q))
-        logdet_pre = np.concatenate((np.full(start, np.nan), logdet_pre))
     return FilterRun(cfg=cfg, scales=scales, u=u, q=q, logdet_pre=logdet_pre,
                      final_state=FilterState(t=len(returns), scale_chol=r_final))

@@ -26,7 +26,7 @@ def validate_spd(a, name="matrix"):
         raise NotPositiveDefinite(f"{name} contains non-finite entries")
     if np.max(np.abs(a - a.T)) > SYM_ATOL * max(1.0, np.max(np.abs(a))):
         raise NotPositiveDefinite(f"{name} is not symmetric")
-    a = 0.5 * (a + a.T)
+    a = 0.5 * a + 0.5 * a.T        # halving first cannot overflow
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -38,7 +38,7 @@ def chol_upper(a):
     """Upper-triangular U with positive diagonal such that U'U = a."""
     a = np.asarray(a, dtype=float)
     try:
-        return np.linalg.cholesky(0.5 * (a + a.T)).T.copy()
+        return np.linalg.cholesky(0.5 * a + 0.5 * a.T).T.copy()
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("Cholesky pivot <= 0") from None
 
@@ -79,22 +79,17 @@ def student_t_logpdf_from_sq(uu, n, p):
             - ((n + p) / 2) * np.log1p(uu))
 
 
-def bartlett_lower(df, p, rng):
-    """Lower-triangular Bartlett factor T: T T' ~ Wishart(df, I_p)."""
-    t = np.zeros((p, p))
-    for i in range(p):
-        t[i, i] = np.sqrt(rng.chisquare(df - i))
-    if p > 1:
-        il = np.tril_indices(p, -1)
-        t[il] = rng.standard_normal(il[0].shape[0])
-    return t
+def bartlett_lower(df, p, rng, size):
+    """A (size, p, p) stack of lower-triangular Bartlett factors T.
 
-
-def _bartlett_lower_batch(df, p, rng, size):
+    Each T T' ~ Wishart(df, I_p).  The chi-squares of the diagonal come
+    first, all `size` draws of T[0, 0], then of T[1, 1], and so on; then
+    the strictly lower normals, factor by factor, row by row.  With `size`
+    = 1 these are the draws of one factor built entry by entry in that
+    order, which the simulator's paths depend on.
+    """
     t = np.zeros((size, p, p))
-    for i in range(p):
-        t[:, i, i] = np.sqrt(rng.chisquare(df - i, size))
-    if p > 1:
-        il = np.tril_indices(p, -1)
-        t[:, il[0], il[1]] = rng.standard_normal((size, il[0].shape[0]))
+    i = np.arange(p)
+    t[:, i, i] = np.sqrt(rng.chisquare(df - i[:, None], (p, size))).T
+    t[:, np.tri(p, k=-1, dtype=bool)] = rng.standard_normal((size, p * (p - 1) // 2))
     return t

@@ -75,7 +75,7 @@ def sample_singular_beta(m, p, rng, size=None):
     if m <= p - 1:
         raise DomainError(f"beta parameter m must exceed p-1={p - 1}, got {m}")
     batch = 1 if size is None else size
-    t = matstat._bartlett_lower_batch(m, p, rng, batch)
+    t = matstat.bartlett_lower(m, p, rng, batch)
     a = t @ np.transpose(t, (0, 2, 1))
     x = rng.standard_normal((batch, p))
     low = np.linalg.cholesky(a + x[:, :, None] * x[:, None, :])
@@ -101,14 +101,14 @@ def simulate_path(cfg):
     if cfg.N == 0:
         return SimPath(sigmas=sigmas, returns=returns)
     # precision_0 ~ Wishart(n+p-1, prior_scale^{-1}) by the Bartlett
-    # construction, kept in factor form from the start
+    # construction, kept in factor form from the start: upper W, W'W = prec
     prior_prec = np.linalg.inv(model.prior_scale)
     low0 = np.linalg.cholesky(0.5 * (prior_prec + prior_prec.T))
-    w = (low0 @ matstat.bartlett_lower(n + p - 1, p, rng)).T   # upper, W'W = prec
+    w = (low0 @ matstat.bartlett_lower(n + p - 1, p, rng, 1)[0]).T
     sqrt_k = np.sqrt(k)
     for t in range(cfg.N):
         # same draw sequence as sample_singular_beta(m, p, rng)
-        tfac = matstat.bartlett_lower(m, p, rng)
+        tfac = matstat.bartlett_lower(m, p, rng, 1)[0]
         x = rng.standard_normal(p)
         low_c = np.linalg.cholesky(tfac @ tfac.T + np.outer(x, x))
         # evolved precision k W' B W = M M' with M = sqrt(k) W' low_c^{-1} tfac

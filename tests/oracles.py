@@ -10,8 +10,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from msvol import matstat
-from msvol.errors import (DimensionMismatch, DomainError, NotPositiveDefinite,
-                          SingularityError)
+from msvol.errors import (DimensionMismatch, DomainError, MsvolError,
+                          NotPositiveDefinite)
 from msvol.filtering import new_config
 from msvol.simulator import SimPath, rng_from_seed, sample_singular_beta
 
@@ -54,6 +54,22 @@ def positive_eigenvalues(m, tol=None):
     return np.sort(w[w > tol])[::-1]
 
 
+def bartlett_lower(df, p, rng):
+    """Lower-triangular Bartlett factor T: T T' ~ Wishart(df, I_p).
+
+    Built entry by entry: the p chi-squares, then the strictly lower
+    normals.  `matstat.bartlett_lower` must consume the generator in this
+    order, because the simulator's paths depend on it.
+    """
+    t = np.zeros((p, p))
+    for i in range(p):
+        t[i, i] = np.sqrt(rng.chisquare(df - i))
+    if p > 1:
+        il = np.tril_indices(p, -1)
+        t[il] = rng.standard_normal(il[0].shape[0])
+    return t
+
+
 def wishart_sample(df, scale, rng, size=None):
     """Draw from Wishart(df, scale) via the Bartlett construction.
 
@@ -67,9 +83,9 @@ def wishart_sample(df, scale, rng, size=None):
         raise DomainError(f"Wishart df must exceed p-1={p - 1}, got {df}")
     low = np.linalg.cholesky(scale)
     if size is None:
-        m = low @ matstat.bartlett_lower(df, p, rng)
+        m = low @ bartlett_lower(df, p, rng)
         return m @ m.T
-    m = low[None, :, :] @ matstat._bartlett_lower_batch(df, p, rng, size)
+    m = low[None, :, :] @ matstat.bartlett_lower(df, p, rng, size)
     return m @ np.transpose(m, (0, 2, 1))
 
 
@@ -165,6 +181,10 @@ def msse_update(acc, u_star):
     acc.sums += u_star * u_star
     acc.count += 1
     return acc
+
+
+class SingularityError(MsvolError):
+    """A quantity whose logarithm is required degenerated to zero."""
 
 
 def loglik_term(cfg, sigma_prev_mean, sigma_curr_mean, y):

@@ -212,7 +212,7 @@ def test_criterion_7_full_run_within_time_budget(tmp_path):
     simulator.simulate_path(sim).to_csv(csv)
     out = tmp_path / "run"
     t0 = time.perf_counter()
-    status = cli.run(cli.RunSpec(input_path=str(csv), out_dir=str(out)))
+    status = cli.main(["--input", str(csv), "--out", str(out)])
     elapsed = time.perf_counter() - t0
     import json
     with open(out / "manifest.json", encoding="utf-8") as fh:

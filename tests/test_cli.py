@@ -198,6 +198,11 @@ class TestExitCodes:
                          "--baseline", "0.85"]) == 1
         assert cli.main(["--input", csv, "--deltas", "0.8;0.9"]) == 1
         assert cli.main(["--input", csv, "--scale", "-1"]) == 1
+        assert cli.main(["--input", csv, "--prior-window", "1"]) == 1
+        assert cli.main(["--input", csv, "--prior-window", "0"]) == 1
+        # checked before the CSV is read: a missing file would exit 2
+        assert cli.main(["--input", str(tmp_path / "missing.csv"),
+                         "--prior-window", "1"]) == 1
         assert cli.main([]) == 1
         with pytest.raises(SystemExit) as exc:
             cli.main(["--mode", "prices", "--input", csv])

@@ -7,8 +7,9 @@ import pytest
 from scipy.special import gammaln
 
 from msvol import diagnostics, filtering, matstat
-from msvol.errors import DimensionMismatch, DomainError, SingularityError
-from oracles import MsseAccumulator, bayes_factor, loglik_term, msse_update
+from msvol.errors import DimensionMismatch, DomainError
+from oracles import (MsseAccumulator, SingularityError, bayes_factor, loglik_term,
+                     msse_update)
 
 
 def simulate_returns(p, N, seed, scale=0.04):

@@ -73,6 +73,16 @@ class TestNewConfig:
         with pytest.raises(DimensionMismatch):
             filtering.new_config(3, 0.9, np.eye(2))
 
+    def test_huge_finite_prior(self):
+        # symmetrizing must not overflow: 1e308 + 1e308 is inf
+        prior = np.diag([1e308, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = filtering.new_config(2, 0.9, prior)
+            factor = matstat.chol_upper(cfg.prior_scale)
+        np.testing.assert_array_equal(cfg.prior_scale, prior)
+        np.testing.assert_array_equal(factor, np.diag([1e154, 1.0]))
+
     def test_beta_parameter_is_integer_one(self):
         for delta in (0.7, 0.75, 0.9, 0.95):
             cfg = filtering.new_config(3, delta, np.eye(3))
@@ -322,14 +332,12 @@ class TestStandardizedErrorsMonteCarlo:
 class TestRunFilter:
     def test_empty_series(self):
         cfg = filtering.new_config(2, 0.9, np.eye(2))
-        for approximate_prior in (False, True):
-            run = filtering.run_filter(cfg, np.empty((0, 2)),
-                                       approximate_prior=approximate_prior)
-            assert run.q.shape == (0,)
-            assert run.scales.shape == (0, 2, 2) and run.u.shape == (0, 2)
-            assert run.final_state.t == 0
-            np.testing.assert_array_equal(run.final_state.scale_chol,
-                                          matstat.chol_upper(cfg.prior_scale))
+        run = filtering.run_filter(cfg, np.empty((0, 2)))
+        assert run.q.shape == (0,)
+        assert run.scales.shape == (0, 2, 2) and run.u.shape == (0, 2)
+        assert run.final_state.t == 0
+        np.testing.assert_array_equal(run.final_state.scale_chol,
+                                      matstat.chol_upper(cfg.prior_scale))
 
     def test_no_second_scale_buffer(self):
         # the run holds the kernel's arrays; a copy would double the peak
@@ -353,64 +361,10 @@ class TestRunFilter:
     def test_non_finite_returns(self, bad):
         cfg = filtering.new_config(2, 0.9, np.eye(2))
         ys = np.array([[1.0, 2.0], [bad, 0.5], [0.3, 0.1]])
-        for approximate_prior in (False, True):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(DomainError, match="row 1, column 0"):
-                    filtering.run_filter(cfg, ys, approximate_prior=approximate_prior)
-
-    def test_approximate_prior_mode(self):
-        rng = np.random.default_rng(9)
-        cfg = filtering.new_config(3, 0.9, 100.0 * np.eye(3))
-        ys = rng.standard_normal((400, 3))
-        approx = filtering.run_filter(cfg, ys, approximate_prior=True)
-        exact = filtering.run_filter(cfg, ys)
-        # warm-up outputs are flagged, not fabricated
-        assert np.isnan(approx.q[0])
-        assert np.all(np.isfinite(approx.q[3:]))
-        # the prior's influence deflates: late scales agree closely
-        err = np.linalg.norm(approx.scales[-1] - exact.scales[-1]) \
-            / np.linalg.norm(exact.scales[-1])
-        assert err < 1e-6
-
-    @staticmethod
-    def rank_growing(n_rank1, n_after):
-        # rows span e1 only, then e1, e2, then all three axes: the truncated
-        # scale is exactly singular until the first row with a third component
-        rng = np.random.default_rng(10)
-        ys = rng.standard_normal((n_rank1 + 1 + n_after, 3))
-        ys[:n_rank1, 1:] = 0.0
-        ys[n_rank1, 2] = 0.0
-        return ys
-
-    def test_approximate_prior_warm_up(self):
-        cfg = filtering.new_config(3, 0.9, np.eye(3))
-        ys = self.rank_growing(4, 40)
-        full_rank = 5                      # first step with a full-rank scale
-        run = filtering.run_filter(cfg, ys, approximate_prior=True)
-        s = np.zeros((3, 3))
-        for t in range(full_rank + 1):
-            s = s / cfg.k + np.outer(ys[t], ys[t])
-            np.testing.assert_array_equal(run.scales[t], s)
-        for out in (run.u, run.q, run.logdet_pre):
-            assert np.all(np.isnan(out[:full_rank + 1]))
-            assert np.all(np.isfinite(out[full_rank + 1:]))
-
-    def test_approximate_prior_full_rank_at_last_row(self):
-        cfg = filtering.new_config(3, 0.9, np.eye(3))
-        ys = self.rank_growing(4, 1)       # full rank only at row 5, the last
-        run = filtering.run_filter(cfg, ys, approximate_prior=True)
-        assert run.final_state.t == 6
-        assert np.all(np.isnan(run.q))
-        np.testing.assert_array_equal(run.final_state.scale_chol,
-                                      matstat.chol_upper(run.scales[-1]))
-
-    def test_approximate_prior_never_full_rank(self):
-        cfg = filtering.new_config(3, 0.9, np.eye(3))
-        ys = np.random.default_rng(11).standard_normal((20, 3))
-        ys[:, 2] = 0.0                     # rows span two of three dimensions
-        with pytest.raises(NotPositiveDefinite):
-            filtering.run_filter(cfg, ys, approximate_prior=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="row 1, column 0"):
+                filtering.run_filter(cfg, ys)
 
 
 def within_one_ulp(a, b):

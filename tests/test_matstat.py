@@ -9,8 +9,8 @@ from scipy.special import gammaln
 
 from msvol import matstat
 from msvol.errors import DomainError, NotPositiveDefinite
-from oracles import (log_det, positive_eigenvalues, student_t_logpdf, sym_inv_sqrt,
-                     wishart_sample)
+from oracles import (bartlett_lower, log_det, positive_eigenvalues, student_t_logpdf,
+                     sym_inv_sqrt, wishart_sample)
 
 
 def random_spd(p, rng, jitter=1.0):
@@ -229,3 +229,18 @@ class TestWishartSample:
         rng = np.random.default_rng(1)
         with pytest.raises(DomainError):
             wishart_sample(1.0, np.eye(3), rng)
+
+
+class TestBartlettLower:
+    @pytest.mark.parametrize("p", [1, 2, 3, 8])
+    def test_batch_of_one_matches_scalar_draw_order(self, p):
+        # the simulator's bits depend on this draw order
+        for seed in range(20):
+            for df in (p - 0.5, p + 3.0, 27.0):
+                rng = np.random.Generator(np.random.Philox(seed))
+                ref_rng = np.random.Generator(np.random.Philox(seed))
+                got = matstat.bartlett_lower(df, p, rng, 1)
+                assert got.shape == (1, p, p)
+                np.testing.assert_array_equal(got[0], bartlett_lower(df, p, ref_rng))
+                # the generator is left in the same state
+                np.testing.assert_array_equal(rng.random(4), ref_rng.random(4))
