@@ -24,7 +24,9 @@ def validate_spd(a, name="matrix"):
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NotPositiveDefinite(f"{name} contains non-finite entries")
-    if np.max(np.abs(a - a.T)) > SYM_ATOL * max(1.0, np.max(np.abs(a))):
+    # half the difference against half the tolerance: the same test, and
+    # halving first cannot overflow
+    if np.max(np.abs(0.5 * a - 0.5 * a.T)) > 0.5 * SYM_ATOL * max(1.0, np.max(np.abs(a))):
         raise NotPositiveDefinite(f"{name} is not symmetric")
     a = 0.5 * a + 0.5 * a.T        # halving first cannot overflow
     try:
@@ -88,8 +90,19 @@ def bartlett_lower(df, p, rng, size):
     = 1 these are the draws of one factor built entry by entry in that
     order, which the simulator's paths depend on.
     """
+    chi2 = rng.chisquare(df - np.arange(p)[:, None], (p, size)).T
+    return bartlett_from_draws(chi2, rng.standard_normal((size, p * (p - 1) // 2)))
+
+
+def bartlett_from_draws(chi2, normals):
+    """Assemble (size, p, p) Bartlett factors from their draws.
+
+    `chi2` is (size, p), the chi-squares of each factor's diagonal;
+    `normals` is (size, p(p-1)/2), its strictly lower entries row by row.
+    """
+    size, p = chi2.shape
     t = np.zeros((size, p, p))
     i = np.arange(p)
-    t[:, i, i] = np.sqrt(rng.chisquare(df - i[:, None], (p, size))).T
-    t[:, np.tri(p, k=-1, dtype=bool)] = rng.standard_normal((size, p * (p - 1) // 2))
+    t[:, i, i] = np.sqrt(chi2)
+    t[:, np.tri(p, k=-1, dtype=bool)] = normals
     return t

@@ -249,6 +249,45 @@ def evolve_precision(prev_precision, b, k):
     return matstat.validate_spd(out, "evolved precision")
 
 
+def simulate_path_stepwise(cfg):
+    """Per-step factored path generator: one draw, solve and SVD per step.
+
+    The straightforward form of `simulator.simulate_path`, with the same
+    argument and result; the block-batched generator must reproduce its
+    `sigmas` and `returns` bit for bit wherever this loop stays finite.
+    """
+    model = new_config(cfg.p, cfg.delta, cfg.prior_scale)   # validates inputs
+    if cfg.N < 0:
+        raise DomainError(f"path length must be >= 0, got {cfg.N}")
+    p, k, n, m = cfg.p, model.k, model.n, model.m
+    rng = rng_from_seed(cfg.seed)
+    sigmas = np.empty((cfg.N, p, p))
+    returns = np.empty((cfg.N, p))
+    if cfg.N == 0:
+        return SimPath(sigmas=sigmas, returns=returns)
+    # precision_0 ~ Wishart(n+p-1, prior_scale^{-1}) by the Bartlett
+    # construction, kept in factor form from the start: upper W, W'W = prec
+    prior_prec = np.linalg.inv(model.prior_scale)
+    low0 = np.linalg.cholesky(0.5 * (prior_prec + prior_prec.T))
+    w = (low0 @ matstat.bartlett_lower(n + p - 1, p, rng, 1)[0]).T
+    sqrt_k = np.sqrt(k)
+    for t in range(cfg.N):
+        # same draw sequence as sample_singular_beta(m, p, rng)
+        tfac = matstat.bartlett_lower(m, p, rng, 1)[0]
+        x = rng.standard_normal(p)
+        low_c = np.linalg.cholesky(tfac @ tfac.T + np.outer(x, x))
+        # evolved precision k W' B W = M M' with M = sqrt(k) W' low_c^{-1} tfac
+        w = sqrt_k * (w.T @ solve_triangular(low_c, tfac, lower=True)).T
+        # symmetric square root of the volatility from the SVD of the factor
+        _, sv, vt = np.linalg.svd(w)
+        if sv[-1] <= 0.0:
+            raise NotPositiveDefinite("precision factor degenerated")
+        sigmas[t] = (vt.T / (sv * sv)) @ vt
+        eps = rng.standard_normal(p)
+        returns[t] = vt.T @ ((vt @ eps) / sv)
+    return SimPath(sigmas=sigmas, returns=returns)
+
+
 def simulate_path_reference(cfg):
     """Matrix-space twin of `simulate_path` built from the public primitives.
 

@@ -214,6 +214,15 @@ class TestExitCodes:
         assert cli.main(["--simulate", "2,100,0.5", "--out", str(tmp_path)]) == 1
         capsys.readouterr()
 
+    def test_simulate_overflow_exits_1_naming_step(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = cli.main(["--simulate", "4,3000,0.7", "--seed", "0",
+                               "--out", str(tmp_path)])
+        assert status == 1
+        assert "step 2066" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "simulated_returns.csv")
+
     def test_data_errors(self, tmp_path, capsys):
         assert cli.main(["--input", str(tmp_path / "missing.csv")]) == 2
         bad = write(tmp_path / "bad.csv", "a\n1.0\noops\n")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,6 +17,24 @@ from oracles import (bartlett_lower, log_det, positive_eigenvalues, student_t_lo
 def random_spd(p, rng, jitter=1.0):
     m = rng.standard_normal((p, p))
     return m.T @ m + jitter * np.eye(p)
+
+
+class TestValidateSpd:
+    def test_huge_antisymmetric_entries_not_symmetric(self):
+        # a - a.T would overflow to inf here; the test must not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite, match="not symmetric"):
+                matstat.validate_spd([[1.0, 1e308], [-1e308, 1.0]])
+
+    def test_tolerance_boundary(self):
+        # tolerance 1e-10 at unit scale: 2**-34 (5.8e-11) of asymmetry
+        # passes, 2**-33 (1.2e-10) does not
+        a = np.array([[1.0, 0.5], [0.5 + 2.0**-34, 1.0]])
+        matstat.validate_spd(a)
+        a[1, 0] = 0.5 + 2.0**-33
+        with pytest.raises(NotPositiveDefinite, match="not symmetric"):
+            matstat.validate_spd(a)
 
 
 class TestCholUpper:
@@ -244,3 +263,30 @@ class TestBartlettLower:
                 np.testing.assert_array_equal(got[0], bartlett_lower(df, p, ref_rng))
                 # the generator is left in the same state
                 np.testing.assert_array_equal(rng.random(4), ref_rng.random(4))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 8])
+    def test_split_keeps_draws_and_generator_state(self, p):
+        # the draw-then-assemble split consumes the generator exactly as the
+        # one-piece factor did: the chi-squares as a (p, size) array, then
+        # the strictly lower normals factor by factor
+        def one_piece(df, rng, size):
+            t = np.zeros((size, p, p))
+            i = np.arange(p)
+            t[:, i, i] = np.sqrt(rng.chisquare(df - i[:, None], (p, size))).T
+            t[:, np.tri(p, k=-1, dtype=bool)] = rng.standard_normal(
+                (size, p * (p - 1) // 2))
+            return t
+
+        for seed in range(5):
+            for size in (1, 2, 7):
+                rng = np.random.Generator(np.random.Philox(seed))
+                ref_rng = np.random.Generator(np.random.Philox(seed))
+                got = matstat.bartlett_lower(p + 3.5, p, rng, size)
+                np.testing.assert_array_equal(got, one_piece(p + 3.5, ref_rng, size))
+                np.testing.assert_array_equal(rng.random(4), ref_rng.random(4))
+
+    def test_assembly_layout(self):
+        t = matstat.bartlett_from_draws(np.array([[4.0, 9.0, 16.0]]),
+                                        np.array([[1.0, 2.0, 3.0]]))
+        np.testing.assert_array_equal(
+            t, [[[2.0, 0.0, 0.0], [1.0, 3.0, 0.0], [2.0, 3.0, 4.0]]])

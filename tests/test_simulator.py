@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ import pytest
 from msvol import cli, filtering, simulator
 from msvol.errors import DimensionMismatch, DomainError
 from oracles import (MsseAccumulator, evolve_precision, msse_update,
-                     simulate_path_reference, sym_inv_sqrt, wishart_sample)
+                     simulate_path_reference, simulate_path_stepwise, sym_inv_sqrt,
+                     wishart_sample)
+
+B = simulator._BLOCK
 
 
 class TestSingularBeta:
@@ -127,6 +131,48 @@ class TestSimulatePath:
         ref = simulate_path_reference(cfg)
         np.testing.assert_allclose(fast.sigmas, ref.sigmas, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(fast.returns, ref.returns, rtol=1e-8, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 8])
+    @pytest.mark.parametrize("N", [1, B - 1, B, B + 1, 3000])
+    def test_same_bits_as_stepwise_generator(self, p, N):
+        for seed, delta in ((0, 0.9), (3, 0.8), (42, 0.98)):
+            cfg = self.cfg(p=p, N=N, delta=delta, prior_scale=np.eye(p), seed=seed)
+            got = simulator.simulate_path(cfg)
+            ref = simulate_path_stepwise(cfg)
+            assert np.all(np.isfinite(ref.sigmas))
+            assert np.array_equal(got.sigmas, ref.sigmas)
+            assert np.array_equal(got.returns, ref.returns)
+
+    def test_same_bits_with_correlated_prior(self):
+        prior = np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.5]])
+        cfg = self.cfg(N=2 * B + 7, prior_scale=prior)
+        got = simulator.simulate_path(cfg)
+        ref = simulate_path_stepwise(cfg)
+        assert np.array_equal(got.sigmas, ref.sigmas)
+        assert np.array_equal(got.returns, ref.returns)
+
+    def test_overflowing_volatility_raises_naming_step(self):
+        # delta = 0.7 drifts fast: the largest volatility eigenvalue of this
+        # path passes float max at step 2066 (its entries at step 2067), and
+        # the stepwise generator's matrices go inf there with RuntimeWarnings
+        cfg = self.cfg(p=4, delta=0.7, N=3000, prior_scale=np.eye(4), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"at step 2066 \(0-based\)"):
+                simulator.simulate_path(cfg)
+        # a path that ends just before that step is untouched
+        short = simulator.simulate_path(self.cfg(p=4, delta=0.7, N=2066,
+                                                 prior_scale=np.eye(4), seed=0))
+        assert np.all(np.isfinite(short.sigmas))
+
+    def test_tiny_prior_scale_raises_at_first_step(self):
+        # the prior precision 1e308 factors finitely (1e154), but the first
+        # precision's eigenvalue already overflows when squared
+        cfg = self.cfg(p=2, N=5, prior_scale=np.diag([1e-308, 1.0]), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"at step 0 \(0-based\)"):
+                simulator.simulate_path(cfg)
 
     def test_long_path_stays_finite(self):
         path = simulator.simulate_path(self.cfg(p=4, N=5000, prior_scale=np.eye(4)))
