@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 NUMBA_ENABLED = False
 
 from . import diagnostics, errors, filtering, matstat, simulator
-from .diagnostics import (GridReport, LikelihoodAccumulator, bayes_factor_series,
-                          grid_search, loglik_constant, loglik_total)
+from .diagnostics import (GridReport, bayes_factor_series, grid_search,
+                          loglik_constant, loglik_total)
 from .filtering import (FilterRun, FilterState, ModelConfig, StepOutput,
                         compute_k, initial_state, new_config, posterior_mean,
                         prior_mean_next, run_filter, step)
@@ -23,7 +23,7 @@ from .simulator import (SimConfig, SimPath, rng_from_seed, sample_singular_beta,
 
 __all__ = [
     "NUMBA_ENABLED",
-    "GridReport", "LikelihoodAccumulator", "bayes_factor_series", "grid_search",
+    "GridReport", "bayes_factor_series", "grid_search",
     "loglik_constant", "loglik_total",
     "FilterRun", "FilterState", "ModelConfig", "StepOutput", "compute_k",
     "initial_state", "new_config", "posterior_mean", "prior_mean_next",

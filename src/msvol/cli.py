@@ -2,9 +2,12 @@
 grid of discount factors, and emit the report, per-step volatility and
 correlation series, Bayes-factor series, and a run manifest.
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 numerical
-failure.  All files are written only after the whole computation succeeds,
-so a failed run leaves no partial outputs.
+Exit codes, decided in `main` alone from the error `run` or `run_simulate`
+raises: 0 success; 2 data or file error (DataError, printed as "error:
+<input>: <message>", or OSError); 3 numerical failure (NotPositiveDefinite,
+"numerical failure: <message>"); 1 configuration error (any other
+MsvolError).  All files are written only after the whole computation
+succeeds, so a failed run leaves no partial outputs.
 """
 
 import argparse
@@ -176,75 +179,56 @@ def _return_bound(deltas, p, window):
 def run(args):
     """Execute one analysis run from the parsed options of `build_parser`.
 
-    Returns a process exit status.
+    Raises on every failure; returns 0.
     """
     timings = {}
     t_total = time.perf_counter()
     try:
-        try:
-            deltas = sorted(set(float(d) for d in args.deltas.split(",")
-                                if d.strip() != ""))
-        except ValueError:
-            raise DomainError(f"cannot parse --deltas {args.deltas!r}") from None
-        if not deltas:
-            raise DomainError("empty discount-factor grid")
-        for d in deltas:
-            if not 2.0 / 3.0 < d < 1.0:
-                raise DomainError(f"discount factor {d} outside (2/3, 1)")
-        if args.baseline not in deltas:
-            raise DomainError(f"baseline {args.baseline} not in grid")
-        if args.scale <= 0.0 or not math.isfinite(args.scale):
-            raise DomainError(f"scale must be positive and finite, got {args.scale}")
-        if args.prior_window < 2:
-            raise DomainError(f"prior window must be >= 2, got {args.prior_window}")
-    except MsvolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        deltas = sorted(set(float(d) for d in args.deltas.split(",")
+                            if d.strip() != ""))
+    except ValueError:
+        raise DomainError(f"cannot parse --deltas {args.deltas!r}") from None
+    if not deltas:
+        raise DomainError("empty discount-factor grid")
+    for d in deltas:
+        if not 2.0 / 3.0 < d < 1.0:
+            raise DomainError(f"discount factor {d} outside (2/3, 1)")
+    if args.baseline not in deltas:
+        raise DomainError(f"baseline {args.baseline} not in grid")
+    if args.scale <= 0.0 or not math.isfinite(args.scale):
+        raise DomainError(f"scale must be positive and finite, got {args.scale}")
+    if args.prior_window < 2:
+        raise DomainError(f"prior window must be >= 2, got {args.prior_window}")
 
-    try:
-        t0 = time.perf_counter()
-        frame = load_csv(args.input, args.mode)
-        timings["load_seconds"] = time.perf_counter() - t0
-        with np.errstate(over="ignore"):
-            values = frame.values * args.scale
-        bound = _return_bound(deltas, values.shape[1],
-                              min(args.prior_window, values.shape[0]))
-        bad = np.argwhere(np.abs(values) >= bound)
-        if bad.size:
-            # CSV row as load_csv counts it; in levels mode, the later price
-            i, j = bad[0]
-            row = i + (3 if args.mode == "levels" else 2)
-            scaled = f" after --scale {args.scale:g}" if args.scale != 1.0 else ""
-            raise DataError(f"the return at row {row}, column {frame.labels[j]} "
-                            f"is {values[i, j]:g}{scaled}; the scale matrix "
-                            f"overflows unless every |return| < {bound:.4g}")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return 2
+    t0 = time.perf_counter()
+    frame = load_csv(args.input, args.mode)
+    timings["load_seconds"] = time.perf_counter() - t0
+    with np.errstate(over="ignore"):
+        values = frame.values * args.scale
+    bound = _return_bound(deltas, values.shape[1],
+                          min(args.prior_window, values.shape[0]))
+    bad = np.argwhere(np.abs(values) >= bound)
+    if bad.size:
+        # CSV row as load_csv counts it; in levels mode, the later price
+        i, j = bad[0]
+        row = i + (3 if args.mode == "levels" else 2)
+        scaled = f" after --scale {args.scale:g}" if args.scale != 1.0 else ""
+        raise DataError(f"the return at row {row}, column {frame.labels[j]} "
+                        f"is {values[i, j]:g}{scaled}; the scale matrix "
+                        f"overflows unless every |return| < {bound:.4g}")
+    if values.shape[0] < 2:
+        raise DataError(f"need at least 2 returns for the default prior, "
+                        f"got {values.shape[0]}")
 
-    try:
-        t0 = time.perf_counter()
-        report = grid_search(values, deltas, args.baseline,
-                             prior_window=args.prior_window,
-                             flat_day=args.flat_day)
-        timings["grid_seconds"] = time.perf_counter() - t0
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NotPositiveDefinite as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-
+    t0 = time.perf_counter()
+    report = grid_search(values, deltas, args.baseline,
+                         prior_window=args.prior_window,
+                         flat_day=args.flat_day)
+    timings["grid_seconds"] = time.perf_counter() - t0
     ok_rows = [r for r in report.rows if r.ok]
-    if not ok_rows or not any(r.delta == args.baseline for r in ok_rows):
-        print("numerical failure: baseline row failed", file=sys.stderr)
-        for r in report.rows:
-            if not r.ok:
-                print(f"  delta={r.delta:g}: {r.error}", file=sys.stderr)
-        return 3
+    if not any(r.delta == args.baseline for r in ok_rows):
+        raise NotPositiveDefinite("baseline row failed" + "".join(
+            f"\n  delta={r.delta:g}: {r.error}" for r in report.rows if not r.ok))
 
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
@@ -299,22 +283,17 @@ def run(args):
 
 
 def run_simulate(sim_arg, out_dir, seed):
-    """Simulator mode: write a returns CSV the analysis mode can ingest."""
+    """Simulator mode: write a returns CSV the analysis mode can ingest; returns 0."""
     try:
         parts = sim_arg.split(",")
         if len(parts) != 3:
             raise ValueError
         p, n, delta = int(parts[0]), int(parts[1]), float(parts[2])
     except ValueError:
-        print(f"error: --simulate expects p,N,delta, got {sim_arg!r}",
-              file=sys.stderr)
-        return 1
-    try:
-        cfg = SimConfig(p=p, delta=delta, N=n, prior_scale=np.eye(p), seed=seed)
-        path = simulate_path(cfg)
-    except MsvolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise DomainError(f"--simulate expects p,N,delta, got {sim_arg!r}") from None
+    # np.eye(0) for p < 1, so new_config rejects the dimension
+    cfg = SimConfig(p=p, delta=delta, N=n, prior_scale=np.eye(max(p, 0)), seed=seed)
+    path = simulate_path(cfg)
     os.makedirs(out_dir, exist_ok=True)
     out = os.path.join(out_dir, "simulated_returns.csv")
     path.to_csv(out)
@@ -356,14 +335,26 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run the command line; return the exit status the module docstring maps."""
     args = build_parser().parse_args(argv)
-    if args.simulate is not None:
-        return run_simulate(args.simulate, args.out, args.seed)
-    if args.input is None:
-        print("error: --input is required unless --simulate is given",
-              file=sys.stderr)
+    try:
+        if args.simulate is not None:
+            return run_simulate(args.simulate, args.out, args.seed)
+        if args.input is None:
+            raise DomainError("--input is required unless --simulate is given")
+        return run(args)
+    except DataError as exc:
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NotPositiveDefinite as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MsvolError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run(args)
 
 
 if __name__ == "__main__":

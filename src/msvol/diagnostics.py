@@ -17,6 +17,7 @@ report with one row per candidate, compared against a baseline.
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,17 +43,11 @@ def loglik_constant(cfg, N):
     )
 
 
-@dataclass
-class LikelihoodAccumulator:
-    """Running sums of the data-dependent likelihood terms."""
+class Loglik(NamedTuple):
+    """A run's plug-in log-likelihood and its count of flat steps."""
 
-    constant_c: float
-    terms: float = 0.0
-    flat_count: int = 0
-
-    @property
-    def total(self):
-        return self.constant_c + self.terms
+    total: float
+    flat_count: int
 
 
 def loglik_total(run, flat_day="floor"):
@@ -66,31 +61,26 @@ def loglik_total(run, flat_day="floor"):
     "skip" omits the eigenvalue term for that step.  Either way the affected
     steps are counted.
 
-    Returns a LikelihoodAccumulator whose `total` is the log-likelihood.
+    Returns a Loglik whose `total` is the log-likelihood.
     """
     if flat_day not in ("floor", "skip"):
         raise DomainError(f"flat_day must be 'floor' or 'skip', got {flat_day}")
     cfg = run.cfg
     p, d, k = cfg.p, cfg.delta, cfg.k
-    N = run.q.shape[0]
-    acc = LikelihoodAccumulator(constant_c=loglik_constant(cfg, N))
-    if N == 0:
-        return acc
     c_coef = cfg.posterior_mean_coef
     a = (2 * d - 1) / (2 * (1 - d))
     b = (3 * d - 2) / (2 * (1 - d))
     kq = k * run.q
     lam = kq / (1.0 + kq)                 # the single positive eigenvalue
     flat = lam < FLAT_EIGENVALUE_TOL
-    acc.flat_count = int(np.sum(flat))
     log_lt = np.where(flat, np.log(FLAT_EIGENVALUE_TOL) if flat_day == "floor" else 0.0,
                       np.log(np.maximum(kq, 1e-300)) - np.log1p(kq))
     y_quad = kq / (1.0 + kq) / c_coef     # y' Sigma_t^{-1} y at the plug-in mean
     ld_prev = p * np.log(c_coef) + run.logdet_pre
     ld_curr = p * np.log(c_coef) + run.logdet_post
     terms = -0.5 * y_quad + a * ld_prev - (p / 2) * log_lt - b * ld_curr
-    acc.terms = float(np.sum(terms))
-    return acc
+    return Loglik(loglik_constant(cfg, run.q.shape[0]) + float(np.sum(terms)),
+                  int(np.sum(flat)))
 
 
 def bayes_factor_series(run, baseline_run):
@@ -200,12 +190,12 @@ def grid_search(data, deltas, baseline_delta, prior_scale=None, prior_window=30,
                 else default_prior_scale(data, d, prior_window)
             cfg = new_config(data.shape[1], d, s0)
             run = run_filter(cfg, data)
-            acc = loglik_total(run, flat_day=flat_day)
+            loglik = loglik_total(run, flat_day=flat_day)
             msse = np.mean(run.u_star ** 2, axis=0)
             row.msse = msse
             row.mmsse = float(np.mean(msse))
-            row.loglik = acc.total
-            row.flat_count = acc.flat_count
+            row.loglik = loglik.total
+            row.flat_count = loglik.flat_count
             report.runs[d] = run
         except Exception as exc:  # noqa: BLE001 - row isolation is the contract
             row.error = f"{type(exc).__name__}: {exc}"

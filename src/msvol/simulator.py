@@ -68,26 +68,42 @@ def rng_from_seed(seed):
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
+def _beta_roots(t, x):
+    """F = L^{-1} T per draw, where L L' = T T' + x x': F F' is a singular
+    matrix-beta draw, for a (b, p, p) stack `t` of Bartlett factors and a
+    (b, p) stack `x` of normals.  LAPACK's `dtrtrs` (the routine scipy's
+    `solve_triangular` calls) solves each draw, so F has the same bits in a
+    stack as alone.
+    """
+    # imported here, not at module level: the analysis path imports this
+    # module and runs on numpy alone
+    from scipy.linalg.lapack import dtrtrs
+
+    low = np.linalg.cholesky(t @ t.transpose(0, 2, 1) + x[:, :, None] * x[:, None, :])
+    roots = np.empty_like(t)
+    for j in range(len(t)):
+        roots[j], info = dtrtrs(low[j].T, t[j], lower=0, trans=1)
+        if info != 0:
+            raise NotPositiveDefinite("beta draw's Cholesky factor is singular")
+    return roots
+
+
 def sample_singular_beta(m, p, rng, size=None):
     """Draw from the singular matrix-beta family B_p(m/2, 1/2).
 
-    Constructive sampler: A ~ Wishart(m, I), x ~ N(0, I), U the upper
-    Cholesky factor of A + xx'; the draw is (U')^{-1} A U^{-1}.  The result
-    is symmetric with eigenvalues in [0, 1] and I - B of rank one almost
-    surely.  At p = 1 it reduces to a scalar Beta(m/2, 1/2).  `size=None`
-    returns one (p, p) draw, the first of a batch of one; an integer returns
-    a (size, p, p) stack.
+    Constructive sampler: A = T T' ~ Wishart(m, I), x ~ N(0, I), L the lower
+    Cholesky factor of A + xx'; the draw is L^{-1} A L^{-T} = F F', with F
+    from `_beta_roots` as in `simulate_path`.  The result is symmetric with
+    eigenvalues in [0, 1] and I - B of rank one almost surely.  At p = 1 it
+    reduces to a scalar Beta(m/2, 1/2).  `size=None` returns one (p, p)
+    draw, the first of a batch of one; an integer a (size, p, p) stack.
     """
     if m <= p - 1:
         raise DomainError(f"beta parameter m must exceed p-1={p - 1}, got {m}")
     batch = 1 if size is None else size
     t = matstat.bartlett_lower(m, p, rng, batch)
-    a = t @ np.transpose(t, (0, 2, 1))
-    x = rng.standard_normal((batch, p))
-    low = np.linalg.cholesky(a + x[:, :, None] * x[:, None, :])
-    w = np.linalg.solve(low, a)
-    b = np.linalg.solve(low, np.transpose(w, (0, 2, 1)))
-    b = 0.5 * (b + np.transpose(b, (0, 2, 1)))
+    f = _beta_roots(t, rng.standard_normal((batch, p)))
+    b = f @ f.transpose(0, 2, 1)
     return b[0] if size is None else b
 
 
@@ -100,11 +116,10 @@ def simulate_path(cfg):
        (the Bartlett chi-squares, then one normal call holding the Bartlett
        normals, the beta's x and the return's eps), because the generator
        is sequential;
-    2. the block's Bartlett factors and the Cholesky factors of T T' + x x'
-       in batched calls;
-    3. the factor recursion W_t = sqrt(k) (W_{t-1}' L_t^{-1} T_t)', the one
-       truly sequential stage, step by step through LAPACK's `dtrtrs`, the
-       routine scipy's `solve_triangular` calls for these arguments;
+    2. the block's Bartlett factors T_t in one batched call, and from them
+       the beta roots F_t = L_t^{-1} T_t of `_beta_roots`;
+    3. the factor recursion W_t = sqrt(k) (W_{t-1}' F_t)', the one truly
+       sequential stage, step by step;
     4. one batched SVD of the block's factors, which gives the volatilities
        and the returns with the same products as a per-step SVD.
 
@@ -117,13 +132,11 @@ def simulate_path(cfg):
     precision is a multiplicative random walk, so a long enough path
     always gets there.
     """
-    # imported here, not at module level: the analysis path imports this
-    # module and runs on numpy alone
-    from scipy.linalg.lapack import dtrtrs
-
     model = new_config(cfg.p, cfg.delta, cfg.prior_scale)   # validates inputs
     if cfg.N < 0:
         raise DomainError(f"path length must be >= 0, got {cfg.N}")
+    if cfg.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {cfg.seed}")
     p, k, n, m = cfg.p, model.k, model.n, model.m
     rng = rng_from_seed(cfg.seed)
     sigmas = np.empty((cfg.N, p, p))
@@ -146,17 +159,12 @@ def simulate_path(cfg):
         for j in range(b):
             chi2[j] = rng.chisquare(dfs)
             z[j] = rng.standard_normal(n_low + 2 * p)
-        tfac = matstat.bartlett_from_draws(chi2[:b], z[:b, :n_low])
-        x = z[:b, n_low:n_low + p]
-        low_c = np.linalg.cholesky(tfac @ tfac.transpose(0, 2, 1)
-                                   + x[:, :, None] * x[:, None, :])
-        # evolved precision k W' B W = M M' with M = sqrt(k) W' low_c^{-1} tfac;
+        roots = _beta_roots(matstat.bartlett_from_draws(chi2[:b], z[:b, :n_low]),
+                            z[:b, n_low:n_low + p])
+        # evolved precision k W' B W = M M' with M = sqrt(k) W' F;
         # the block's factors wait in `sigmas` for stage 4
         for j in range(b):
-            sol, info = dtrtrs(low_c[j].T, tfac[j], lower=0, trans=1)
-            if info != 0:
-                raise NotPositiveDefinite("beta draw's Cholesky factor is singular")
-            w = sqrt_k * (w.T @ sol).T
+            w = sqrt_k * (w.T @ roots[j]).T
             sigmas[start + j] = w
         # symmetric square root of the volatility from the SVD of the factor
         _, sv, vt = np.linalg.svd(sigmas[start:stop])

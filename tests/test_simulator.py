@@ -118,6 +118,8 @@ class TestSimulatePath:
             simulator.simulate_path(self.cfg(N=-1))
         with pytest.raises(DomainError):
             simulator.simulate_path(self.cfg(delta=0.5))
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            simulator.simulate_path(self.cfg(seed=-1))
 
     def test_volatilities_spd(self):
         path = simulator.simulate_path(self.cfg(N=200))
