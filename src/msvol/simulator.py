@@ -12,8 +12,9 @@ precision's condition number random-walks upward without bound (it routinely
 passes 1e15 within a few thousand steps, where a matrix-space evolution
 would collapse).  Only two things must go step by step: the random draws,
 because the generator is sequential, and the factor recursion, because each
-factor needs the last.  Everything else runs in block-batched numpy calls;
-`simulate_path` says how, and why the bits match a per-step loop.
+factor needs the last.  Everything else, the beta roots' QR included, runs
+in block-batched numpy calls (numpy alone: no scipy); `simulate_path` says
+how, and why the bits match a per-step loop.
 
 Randomness comes from numpy's Philox counter-based generator, so paths are
 reproducible across platforms for a given seed.
@@ -27,8 +28,8 @@ from . import matstat
 from .errors import DomainError, NotPositiveDefinite
 from .filtering import new_config
 
-_BLOCK = 64      # steps per batched block in simulate_path; larger blocks
-                 # only raise peak memory (256: +1 MB at p=8), no faster
+_BLOCK = 64          # steps per block in simulate_path; 256 is no faster, +1 MB at p=8
+_CSV_BLOCK = 1024    # rows per write in SimPath.to_csv
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,12 @@ class SimPath:
         p = self.returns.shape[1]
         if labels is None:
             labels = [f"y{i + 1}" for i in range(p)]
+        row = ",".join(["%.17g"] * p) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(labels) + "\n")
-            for row in self.returns:
-                fh.write(",".join("%.17g" % x for x in row) + "\n")
+            for start in range(0, len(self.returns), _CSV_BLOCK):
+                block = self.returns[start:start + _CSV_BLOCK].tolist()
+                fh.write("".join([row % tuple(r) for r in block]))
 
 
 def rng_from_seed(seed):
@@ -71,21 +74,18 @@ def rng_from_seed(seed):
 def _beta_roots(t, x):
     """F = L^{-1} T per draw, where L L' = T T' + x x': F F' is a singular
     matrix-beta draw, for a (b, p, p) stack `t` of Bartlett factors and a
-    (b, p) stack `x` of normals.  LAPACK's `dtrtrs` (the routine scipy's
-    `solve_triangular` calls) solves each draw, so F has the same bits in a
-    stack as alone.
+    (b, p) stack `x` of normals.  The (p+1) x p stack M = [T'; x'] has
+    M'M = T T' + x x'; with M = Q R and D = sign(diag R), L = R'D and
+    T = R' Q[:p]', so F = L^{-1} T = D Q[:p]' = (Q[:p] D)'.  No triangular
+    solve, and T T' + x x', which would square the condition number of
+    [T x], is never formed.  Each draw is factored alone, so F has the same
+    bits in a stack as alone.
     """
-    # imported here, not at module level: the analysis path imports this
-    # module and runs on numpy alone
-    from scipy.linalg.lapack import dtrtrs
-
-    low = np.linalg.cholesky(t @ t.transpose(0, 2, 1) + x[:, :, None] * x[:, None, :])
-    roots = np.empty_like(t)
-    for j in range(len(t)):
-        roots[j], info = dtrtrs(low[j].T, t[j], lower=0, trans=1)
-        if info != 0:
-            raise NotPositiveDefinite("beta draw's Cholesky factor is singular")
-    return roots
+    q, r = np.linalg.qr(np.concatenate((t.transpose(0, 2, 1), x[:, None, :]), axis=1))
+    sign = np.sign(np.diagonal(r, axis1=1, axis2=2))
+    if not sign.all():
+        raise NotPositiveDefinite("beta draw's Cholesky factor is singular")
+    return (q[:, :-1] * sign[:, None, :]).transpose(0, 2, 1)
 
 
 def sample_singular_beta(m, p, rng, size=None):
@@ -117,7 +117,7 @@ def simulate_path(cfg):
        normals, the beta's x and the return's eps), because the generator
        is sequential;
     2. the block's Bartlett factors T_t in one batched call, and from them
-       the beta roots F_t = L_t^{-1} T_t of `_beta_roots`;
+       the beta roots F_t = L_t^{-1} T_t of `_beta_roots`, by one QR;
     3. the factor recursion W_t = sqrt(k) (W_{t-1}' F_t)', the one truly
        sequential stage, step by step;
     4. one batched SVD of the block's factors, which gives the volatilities

@@ -249,8 +249,17 @@ def evolve_precision(prev_precision, b, k):
     return matstat.validate_spd(out, "evolved precision")
 
 
+def beta_roots_cholesky(t, x):
+    """`simulator._beta_roots` by the direct route, one draw at a time: L the
+    lower Cholesky factor of T T' + x x', then F = L^{-1} T by a triangular
+    solve.  Agrees with the QR construction to rounding, not to the bit.
+    """
+    low = np.linalg.cholesky(t @ t.transpose(0, 2, 1) + x[:, :, None] * x[:, None, :])
+    return np.stack([solve_triangular(low[j], t[j], lower=True) for j in range(len(t))])
+
+
 def simulate_path_stepwise(cfg):
-    """Per-step factored path generator: one draw, solve and SVD per step.
+    """Per-step factored path generator: one draw, QR and SVD per step.
 
     The straightforward form of `simulator.simulate_path`, with the same
     argument and result; the block-batched generator must reproduce its
@@ -275,9 +284,11 @@ def simulate_path_stepwise(cfg):
         # same draw sequence as sample_singular_beta(m, p, rng)
         tfac = matstat.bartlett_lower(m, p, rng, 1)[0]
         x = rng.standard_normal(p)
-        low_c = np.linalg.cholesky(tfac @ tfac.T + np.outer(x, x))
-        # evolved precision k W' B W = M M' with M = sqrt(k) W' low_c^{-1} tfac
-        w = sqrt_k * (w.T @ solve_triangular(low_c, tfac, lower=True)).T
+        # beta root F = (Q[:p] D)' from [tfac'; x'] = Q R, D = sign(diag R)
+        q, r = np.linalg.qr(np.vstack((tfac.T, x)))
+        root = (q[:p] * np.sign(np.diag(r))).T
+        # evolved precision k W' B W = M M' with M = sqrt(k) W' F
+        w = sqrt_k * (w.T @ root).T
         # symmetric square root of the volatility from the SVD of the factor
         _, sv, vt = np.linalg.svd(w)
         if sv[-1] <= 0.0:

@@ -1,14 +1,15 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
-from msvol import cli, filtering, simulator
-from msvol.errors import DimensionMismatch, DomainError
-from oracles import (MsseAccumulator, evolve_precision, msse_update,
-                     simulate_path_reference, simulate_path_stepwise, sym_inv_sqrt,
-                     wishart_sample)
+from msvol import cli, filtering, matstat, simulator
+from msvol.errors import DimensionMismatch, DomainError, NotPositiveDefinite
+from oracles import (MsseAccumulator, beta_roots_cholesky, evolve_precision,
+                     msse_update, simulate_path_reference, simulate_path_stepwise,
+                     sym_inv_sqrt, wishart_sample)
 
 B = simulator._BLOCK
 
@@ -57,6 +58,55 @@ class TestSingularBeta:
     def test_domain(self):
         with pytest.raises(DomainError):
             simulator.sample_singular_beta(1.5, 3, simulator.rng_from_seed(0))
+
+
+def beta_inputs(p, delta, seed, size):
+    """A (size, p, p) stack of Bartlett factors and (size, p) normals, drawn
+    as the simulator draws them for (p, delta)."""
+    m = filtering.new_config(p, delta, np.eye(p)).m
+    rng = simulator.rng_from_seed(seed)
+    return matstat.bartlett_lower(m, p, rng, size), rng.standard_normal((size, p))
+
+
+class TestBetaRoots:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 8])
+    @pytest.mark.parametrize("delta", [0.7, 0.9, 0.98])
+    def test_matches_cholesky_construction(self, p, delta):
+        # the Cholesky route forms T T' + x x', so its own error grows with
+        # cond(T T' + x x'); measured over 10,000 draws per case, the gap
+        # per draw stays below 2.5 eps * cond (up to 1490 eps at p=8,
+        # delta=0.7, where cond reaches 4e4)
+        t, x = beta_inputs(p, delta, seed=p, size=1000)
+        got = simulator._beta_roots(t, x)
+        cond = np.linalg.cond(t @ t.transpose(0, 2, 1) + x[:, :, None] * x[:, None, :])
+        gap = np.max(np.abs(got - beta_roots_cholesky(t, x)), axis=(1, 2))
+        assert np.all(gap <= 8 * self.EPS * cond)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 8])
+    def test_beta_draw_against_mpmath(self, p):
+        # F F' = L^{-1} T T' L^{-T} and F = L^{-1} T in 40 digits; measured
+        # worst over 240 draws (p = 1, 2, 3, 8; delta 0.7 and 0.9): 4 eps for
+        # F F', 2 eps for F
+        t, x = beta_inputs(p, 0.7, seed=100 + p, size=5)
+        roots = simulator._beta_roots(t, x)
+        with mpmath.workdps(40):
+            for j in range(len(t)):
+                tm, xm = mpmath.matrix(t[j].tolist()), mpmath.matrix(x[j].tolist())
+                root = mpmath.cholesky(tm * tm.T + xm * xm.T) ** -1 * tm
+                draw = root * root.T
+                got = roots[j] @ roots[j].T
+                for a in range(p):
+                    for b in range(p):
+                        assert abs(float(root[a, b]) - roots[j][a, b]) <= 8 * self.EPS
+                        assert abs(float(draw[a, b]) - got[a, b]) <= 16 * self.EPS
+
+    def test_singular_factor_raises(self):
+        t, x = beta_inputs(3, 0.9, seed=0, size=4)
+        t[2], x[2] = 0.0, 0.0
+        with pytest.raises(NotPositiveDefinite):
+            simulator._beta_roots(t, x)
 
 
 class TestEvolvePrecision:
@@ -211,3 +261,18 @@ class TestCsvRoundTrip:
         out = tmp_path / "r.csv"
         simulator.simulate_path(cfg).to_csv(out, labels=["a", "b"])
         assert cli.load_csv(out, mode="returns").labels == ["a", "b"]
+
+    def test_same_bytes_as_per_cell_format(self, tmp_path):
+        # more rows than one write block, values from 1e-300 to 1e60 of both
+        # signs, and -0.0
+        rng = simulator.rng_from_seed(13)
+        n = 2 * simulator._CSV_BLOCK + 5
+        mags = 10.0 ** rng.uniform(-300, 60, (n, 3))
+        returns = np.where(rng.random((n, 3)) < 0.5, -mags, mags)
+        returns[0] = [-0.0, 0.0, 1e-300]
+        returns[-1] = [1e60, -1e60, 0.1]
+        out = tmp_path / "r.csv"
+        simulator.SimPath(sigmas=np.empty((n, 3, 3)), returns=returns).to_csv(out)
+        expected = "y1,y2,y3\n" + "".join(
+            ",".join("%.17g" % v for v in row) + "\n" for row in returns)
+        assert out.read_bytes() == expected.encode("utf-8")
