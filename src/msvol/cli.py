@@ -126,6 +126,12 @@ def _write_table(path, header, times, values):
             fh.write("".join(fmt % (t, *row) for t, row in rows))
 
 
+def _delta_text(d):
+    """A delta as names and keys spell it: unlike %g, no two deltas share it,
+    and up to 6 significant digits it is the same text."""
+    return repr(float(d))
+
+
 def emit_series(out_dir, frame, runs):
     """One CSV per FilterRun in `runs` (delta -> run): volatilities, correlations.
 
@@ -151,7 +157,7 @@ def emit_series(out_dir, frame, runs):
             m[:, p:] /= sd[:, iu] * sd[:, ju]
             return m
 
-        path = os.path.join(out_dir, f"series_delta_{d:g}.csv")
+        path = os.path.join(out_dir, f"series_delta_{_delta_text(d)}.csv")
         _write_table(path, head, frame.times, vol_corr)
         paths.append(path)
     return paths
@@ -228,7 +234,8 @@ def run(args):
     ok_rows = [r for r in report.rows if r.ok]
     if not any(r.delta == args.baseline for r in ok_rows):
         raise NotPositiveDefinite("baseline row failed" + "".join(
-            f"\n  delta={r.delta:g}: {r.error}" for r in report.rows if not r.ok))
+            f"\n  delta={_delta_text(r.delta)}: {r.error}"
+            for r in report.rows if not r.ok))
 
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
@@ -242,7 +249,7 @@ def run(args):
     series_paths = emit_series(args.out, frame, report.runs)
     cols = [d for d in deltas if d in report.h_series]
     _write_table(os.path.join(args.out, "bayes_factors.csv"),
-                 ["time"] + [f"H_{d:g}" for d in cols], frame.times,
+                 ["time"] + [f"H_{_delta_text(d)}" for d in cols], frame.times,
                  lambda lo, hi: np.column_stack([report.h_series[d][lo:hi]
                                                  for d in cols]))
     timings["write_seconds"] = time.perf_counter() - t0
@@ -263,8 +270,8 @@ def run(args):
         "flat_day": args.flat_day,
         "seed": args.seed,
         "best_delta": report.best_delta(),
-        "flat_day_counts": {("%g" % r.delta): r.flat_count for r in ok_rows},
-        "failed_rows": {("%g" % r.delta): r.error
+        "flat_day_counts": {_delta_text(r.delta): r.flat_count for r in ok_rows},
+        "failed_rows": {_delta_text(r.delta): r.error
                         for r in report.rows if not r.ok},
         "timings": {k: round(v, 6) for k, v in timings.items()},
         "outputs": sorted(
@@ -316,7 +323,7 @@ def build_parser():
     )
     parser.add_argument("--input", metavar="PATH", help="CSV of returns or levels")
     parser.add_argument("--mode", choices=("levels", "returns"), default="returns")
-    parser.add_argument("--deltas", default=",".join("%g" % d for d in DEFAULT_DELTAS),
+    parser.add_argument("--deltas", default=",".join(map(_delta_text, DEFAULT_DELTAS)),
                         help="comma-separated discount factors in (2/3, 1)")
     parser.add_argument("--baseline", type=float, default=0.95,
                         help="baseline discount factor for Bayes factors")

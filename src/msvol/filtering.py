@@ -28,7 +28,9 @@ hypotenuse from libm's `hypot` (via `np.hypot`; `math.hypot` rounds
 differently), and computes the per-step SVD, u, q and log|S_{t-1}| after
 the sweep in block-batched calls; `_filter_rows` says why.  Its outputs
 equal, bit for bit (q to one ulp), those of a per-step SVD-and-update loop
-on numpy scalars, which the tests keep as the reference.
+on numpy scalars, which the tests keep as the reference.  It is also the
+one place that decides a step failed: it raises at the first step it
+cannot score, naming it, and `run_filter` and `step` pass the error on.
 """
 
 from dataclasses import dataclass, field
@@ -146,14 +148,20 @@ def step(cfg, state, y):
     predictive log-density is the forecast-t density of u plus the Jacobian
     of the standardization map, (p/2) log k - (1/2) log|S|, so that values
     are comparable across discount factors on the observation scale.
+
+    Raises DimensionMismatch for a wrong shape, DomainError for a non-finite
+    y, and the kernel's error, naming step state.t, if the step cannot be
+    scored: NotPositiveDefinite for a singular scale, DomainError when q or
+    the new scale leaves float64 range.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (cfg.p,):
         raise DimensionMismatch(f"observation has shape {y.shape}, expected ({cfg.p},)")
     require_finite(y, "observation")
-    scales, u, q, logdet_pre, r_new = _filter_rows(y[None, :], state.scale_chol, cfg.k)
-    if np.isnan(logdet_pre[0]):
-        raise NotPositiveDefinite("filter scale matrix lost positive definiteness")
+    try:
+        scales, u, q, logdet_pre, r_new = _filter_rows(y[None], state.scale_chol, cfg.k)
+    except (NotPositiveDefinite, DomainError) as exc:   # its step 0 is step state.t
+        raise _step_error(state.t, isinstance(exc, NotPositiveDefinite)) from None
     run = FilterRun(cfg=cfg, scales=scales, u=u, q=q, logdet_pre=logdet_pre)
     new_state = FilterState(t=state.t + 1, scale_chol=r_new)
     out = StepOutput(forecast_scale=prior_mean_next(cfg, state), u=u[0],
@@ -176,16 +184,21 @@ def _filter_rows(Y, R0, k):
     post-update factor R_t is stored in the output buffer.
 
     The second stage needs only the stored factors, so it runs after the
-    loop, in blocks of `_BLOCK` steps from the end backwards: one batched
-    SVD of the pre-update factors R_{t-1} gives u, q and log|S_{t-1}| with
-    the same products and summation order as a per-step SVD, and the
-    block's factors are then turned into R'R in place.  Going backwards
-    keeps R_{t-1} in factor form until step t has used it; the blocks keep
-    the temporaries small.
+    loop, forward in blocks of `_BLOCK` steps.  Each block starts from the
+    factor the previous block ended on (R0 for the first): the block's
+    factors are turned into R'R in place, and one batched SVD of the
+    pre-update factors R_{t-1} gives u, q and log|S_{t-1}| with the same
+    products and summation order as a per-step SVD.  The blocks keep the
+    temporaries small.
+
+    The pass raises at the first step t it cannot score, naming t (0-based):
+    NotPositiveDefinite when S_{t-1} is singular (a zero pivot, which ends
+    the first stage, or a zero singular value of R_{t-1}); DomainError when
+    R_t, q_t or S_t is not finite.
 
     Parameters
     ----------
-    Y : (N, p) observations, one row per time step.
+    Y : (N, p) finite observations, one row per time step.
     R0 : (p, p) upper triangular factor of the initial scale matrix.
     k : decay constant of the recursion S <- S/k + y y'.
 
@@ -196,8 +209,6 @@ def _filter_rows(Y, R0, k):
         (symmetric square root).
     q : (N,) quadratic forms y_t' S_{t-1}^{-1} y_t.
     logdet_pre : (N,) log|S_{t-1}| (the pre-update scale).
-        A step whose pre-update factor has a zero singular value gets NaN
-        u, q and logdet_pre; the state is still advanced.
     R : (p, p) upper triangular factor of the final scale S_N.
     """
     N, p = Y.shape
@@ -206,65 +217,74 @@ def _filter_rows(Y, R0, k):
     inv_sqrt_k = float(1.0 / sqrt_k)
     hypot = np.hypot
     R = R0.tolist()
-    for t in range(N):
-        x = Y[t].tolist()
-        for j in range(p):
-            row = R[j]
-            rjj = row[j] * inv_sqrt_k
-            xj = x[j]
-            r = float(hypot(rjj, xj))
+    pivot = N          # the first step with a zero pivot, if any
+    # a value out of float64 range is caught by the checks, not as a warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for t in range(N):
+            x = Y[t].tolist()
             try:
-                c = r / rjj
-                s = xj / rjj
+                for j in range(p):
+                    row = R[j]
+                    rjj = row[j] * inv_sqrt_k
+                    xj = x[j]
+                    r = float(hypot(rjj, xj))
+                    c = r / rjj
+                    s = xj / rjj
+                    row[j] = r
+                    for i in range(j + 1, p):
+                        rji = (row[i] * inv_sqrt_k + s * x[i]) / c
+                        row[i] = rji
+                        x[i] = c * x[i] - s * rji
             except ZeroDivisionError:
-                c, s = _divide_by_zero_pivot(r, xj, rjj)
-            row[j] = r
-            for i in range(j + 1, p):
-                rji = (row[i] * inv_sqrt_k + s * x[i]) / c
-                row[i] = rji
-                x[i] = c * x[i] - s * rji
-        scales[t] = R
-    R = np.array(R)
+                pivot = t
+                break
+            scales[t] = R
 
-    u = np.empty((N, p))
-    q = np.empty(N)
-    logdet_pre = np.empty(N)
-    for stop in range(N, 0, -_BLOCK):
-        start = max(stop - _BLOCK, 0)
-        if start > 0:
-            pre = scales[start - 1:stop - 1]
-        else:
-            pre = np.concatenate((R0[None], scales[:stop - 1]))
-        _, d, vt = np.linalg.svd(pre)
-        z = (vt @ Y[start:stop, :, None])[..., 0]
-        ld = np.zeros(stop - start)
-        qt = np.zeros(stop - start)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.empty((N, p))
+        q = np.empty(N)
+        logdet_pre = np.empty(N)
+        prev = R0
+        for start in range(0, pivot, _BLOCK):
+            stop = min(start + _BLOCK, pivot)
+            fac = np.concatenate((prev[None], scales[start:stop]))
+            post = fac[1:]
+            scales[start:stop] = post.transpose(0, 2, 1) @ post
+            # S_t is not finite if R_t is not, and the SVD cannot take such
+            # an R_t; the steps before it are scored first
+            finite = np.isfinite(scales[start:stop]).all(axis=(1, 2))
+            b = stop - start if finite.all() else int(np.argmin(finite))
+            _, d, vt = np.linalg.svd(fac[:b])
+            z = (vt @ Y[start:start + b, :, None])[..., 0]
             w = z / d
             log_d = np.log(d)
+            ld = np.zeros(b)
+            qt = np.zeros(b)
             for i in range(p):
                 ld += log_d[:, i]
                 # pow, as a numpy scalar's ** 2 is; w * w can differ by an ulp
                 qt += np.float_power(w[:, i], 2.0)
-            ub = sqrt_k * (vt.transpose(0, 2, 1) @ w[..., None])[..., 0]
-        singular = ~(d[:, p - 1] > 0.0)
-        ld[singular] = qt[singular] = ub[singular] = np.nan
-        logdet_pre[start:stop] = 2.0 * ld
-        q[start:stop] = qt
-        u[start:stop] = ub
-        blk = scales[start:stop]
-        scales[start:stop] = blk.transpose(0, 2, 1) @ blk
-    return scales, u, q, logdet_pre, R
+            singular = ~(d[:, p - 1] > 0.0)
+            bad = singular | ~np.isfinite(qt)
+            if bad.any():
+                first = int(np.argmax(bad))
+                raise _step_error(start + first, singular[first])
+            if b < stop - start:
+                raise _step_error(start + b, singular=False)
+            logdet_pre[start:stop] = 2.0 * ld
+            q[start:stop] = qt
+            u[start:stop] = sqrt_k * (vt.transpose(0, 2, 1) @ w[..., None])[..., 0]
+            prev = fac[b]
+    if pivot < N:
+        raise _step_error(pivot, singular=True)
+    return scales, u, q, logdet_pre, np.array(R)
 
 
-def _divide_by_zero_pivot(r, xj, rjj):
-    """c = r/rjj and s = xj/rjj for a zero pivot, with IEEE inf/NaN results.
-
-    Python floats raise on division by zero; the step's outputs are NaN
-    either way (its pre-update factor is singular) and the state advances.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.float64(r) / rjj), float(np.float64(xj) / rjj)
+def _step_error(t, singular):
+    """The error for step t, which the filter cannot score."""
+    if singular:
+        return NotPositiveDefinite(f"filter scale matrix lost positive "
+                                   f"definiteness at step {t} (0-based)")
+    return DomainError(f"the filter leaves float64 range at step {t} (0-based)")
 
 
 def posterior_mean(cfg, state):
@@ -317,7 +337,11 @@ class FilterRun:
 def run_filter(cfg, returns):
     """Run the filter over an (N, p) return matrix, from the prior scale.
 
-    The run holds the kernel's own arrays; nothing is copied.
+    The run holds the kernel's own arrays; nothing is copied.  Raises
+    DimensionMismatch for a wrong shape, DomainError naming the first
+    non-finite row and column, and the kernel's error naming the first step
+    it cannot score: NotPositiveDefinite for a singular pre-update scale,
+    DomainError when the factor, q or the scale leaves float64 range.
     """
     returns = np.asarray(returns, dtype=float)
     if returns.ndim != 2 or returns.shape[1] != cfg.p:
@@ -327,7 +351,5 @@ def run_filter(cfg, returns):
     require_finite(returns, "returns")
     scales, u, q, logdet_pre, r_final = _filter_rows(
         np.ascontiguousarray(returns), matstat.chol_upper(cfg.prior_scale), cfg.k)
-    if not np.all(np.isfinite(q)):
-        raise NotPositiveDefinite("filter scale matrix lost positive definiteness")
     return FilterRun(cfg=cfg, scales=scales, u=u, q=q, logdet_pre=logdet_pre,
                      final_state=FilterState(t=len(returns), scale_chol=r_final))

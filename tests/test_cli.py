@@ -188,6 +188,22 @@ class TestMainAnalysis:
                          "--scale", "100", "--deltas", "0.9", "--baseline",
                          "0.9"]) == 0
 
+    def test_close_deltas_keep_their_own_outputs(self, tmp_path):
+        # equal under %g: each delta still gets its file, column and keys
+        csv = simulate_csv(tmp_path, n=100)
+        out = tmp_path / "run"
+        assert cli.main(["--input", csv, "--out", str(out),
+                         "--deltas", "0.9,0.9000001", "--baseline", "0.9"]) == 0
+        series = {"series_delta_0.9.csv", "series_delta_0.9000001.csv"}
+        assert series <= set(os.listdir(out))
+        with open(out / "bayes_factors.csv", encoding="utf-8") as fh:
+            assert fh.readline() == "time,H_0.9,H_0.9000001\n"
+        with open(out / "manifest.json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        assert sorted(manifest["outputs"]) == sorted(
+            series | {"grid_report.tsv", "grid_report.json", "bayes_factors.csv"})
+        assert set(manifest["flat_day_counts"]) == {"0.9", "0.9000001"}
+
 
 class TestExitCodes:
     def test_config_errors(self, tmp_path, capsys):

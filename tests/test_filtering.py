@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from msvol import filtering, matstat, simulator
+from msvol import diagnostics, filtering, matstat, simulator
 from msvol.errors import DimensionMismatch, DomainError, NotPositiveDefinite
 from oracles import (expectation_invariance_check, filter_rows_reference, sym_inv_sqrt,
                      wishart_sample)
@@ -125,9 +125,10 @@ class TestStep:
 
     @pytest.mark.parametrize("y", [[1.0, 2.0], [1.0, 0.0]])
     def test_zero_pivot_raises(self, y):
+        # the error names the state's step, not the kernel's first row
         cfg = filtering.new_config(2, 0.9, np.eye(2))
-        state = filtering.FilterState(t=0, scale_chol=np.diag([1.0, 0.0]))
-        with pytest.raises(NotPositiveDefinite):
+        state = filtering.FilterState(t=7, scale_chol=np.diag([1.0, 0.0]))
+        with pytest.raises(NotPositiveDefinite, match=r"at step 7 \(0-based\)"):
             filtering.step(cfg, state, np.array(y))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -368,8 +369,7 @@ class TestRunFilter:
 
 
 def within_one_ulp(a, b):
-    both_nan = np.isnan(a) & np.isnan(b)
-    return np.all(both_nan | (a == b) | (np.abs(a - b) <= np.spacing(np.abs(b))))
+    return np.all((a == b) | (np.abs(a - b) <= np.spacing(np.abs(b))))
 
 
 class TestReferenceKernel:
@@ -400,15 +400,75 @@ class TestReferenceKernel:
         np.testing.assert_array_equal(run.final_state.scale_chol, r)
         assert within_one_ulp(run.q, q)
 
-    def test_singular_start_matches_reference(self):
-        # a zero pivot: step 0 is NaN, the state still advances
-        rng = np.random.default_rng(5)
-        ys = rng.standard_normal((self.B + 2, 2))
-        r0 = np.diag([1.0, 0.0])
-        scales, u, q, logdet_pre, r = filtering._filter_rows(ys, r0, 1.1)
-        with np.errstate(all="ignore"):
-            want = filter_rows_reference(ys, r0, 1.1)
-        assert np.isnan(q[0]) and np.all(np.isfinite(q[1:]))
-        for got, ref in zip((scales, u, logdet_pre, r), want[:2] + want[3:]):
-            np.testing.assert_array_equal(got, ref)
-        assert within_one_ulp(q, want[2])
+    def test_zero_pivot_at_start_names_step_0(self):
+        ys = np.random.default_rng(5).standard_normal((self.B + 2, 2))
+        with pytest.raises(NotPositiveDefinite, match=r"at step 0 \(0-based\)"):
+            filtering._filter_rows(ys, np.diag([1.0, 0.0]), 1.1)
+
+    def test_zero_singular_value_at_start_names_step_0(self):
+        # no zero pivot, but d_min = 1e-400 / 1e150 underflows to 0
+        ys = np.random.default_rng(5).standard_normal((3, 2))
+        r0 = np.array([[1e-200, 1e150], [0.0, 1e-200]])
+        with pytest.raises(NotPositiveDefinite, match=r"at step 0 \(0-based\)"):
+            filtering._filter_rows(ys, r0, 1.1)
+
+    def test_pivot_underflow_names_its_step(self):
+        # A pivot never fed by y is scaled by 1/sqrt(k) a step.  For the
+        # model's k (at most 1.5) the smallest subnormal rounds back to
+        # itself, so the pivot never reaches 0; with k = 16 it is quartered
+        # exactly until it rounds to 0, in the kernel's third block.
+        ys = np.tile([1.0, 0.0], (3 * self.B, 1))
+        pivot, t = 0.25, 0
+        while pivot > 0.0:
+            pivot *= 0.25
+            t += 1
+        assert 2 * self.B < t < 3 * self.B
+        with pytest.raises(NotPositiveDefinite, match=rf"at step {t} \(0-based\)"):
+            filtering._filter_rows(ys, np.eye(2), 16.0)
+        # an earlier step that cannot be scored is named first
+        ys[t - 100, 0] = 1e200
+        with pytest.raises(DomainError, match=rf"at step {t - 100} \(0-based\)"):
+            filtering._filter_rows(ys, np.eye(2), 16.0)
+
+
+class TestOutOfRange:
+    """Finite returns whose filter quantities leave float64 range.
+
+    Each raises DomainError naming the first step it cannot score, with no
+    numpy warning on the way.
+    """
+
+    def test_huge_row_mid_path(self):
+        rng = np.random.default_rng(0)
+        ys = rng.standard_normal((100, 3))
+        ys[60] = 1e160
+        cfg = filtering.new_config(3, 0.9, np.eye(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"at step 60 \(0-based\)"):
+                filtering.run_filter(cfg, ys)
+            report = diagnostics.grid_search(ys, (0.8, 0.9), 0.9)
+        for row in report.rows:
+            assert row.error.startswith("DomainError") and "step 60 " in row.error
+
+    def test_huge_return_in_run_and_step(self):
+        # the factor stays finite; q and S_1 overflow
+        ys = np.array([[1.0, 2.0], [1e200, 1.0], [1.0, 1.0]])
+        cfg = filtering.new_config(2, 0.9, np.eye(2))
+        state = filtering.initial_state(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"at step 1 \(0-based\)"):
+                filtering.run_filter(cfg, ys)
+            state, _ = filtering.step(cfg, state, ys[0])
+            with pytest.raises(DomainError, match=r"at step 1 \(0-based\)"):
+                filtering.step(cfg, state, ys[1])
+
+    def test_huge_prior_and_returns(self):
+        # S_0 = prior/k + y y' overflows at the first step
+        ys = 1e155 * np.random.default_rng(1).standard_normal((50, 2))
+        cfg = filtering.new_config(2, 0.9, 1e300 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"at step 0 \(0-based\)"):
+                filtering.run_filter(cfg, ys)
