@@ -97,7 +97,7 @@ def load_csv(path, mode):
     values = np.empty((len(body), len(labels)))
     for i, row in enumerate(body):
         for j, c in enumerate(data_cols):
-            values[i, j] = _parse_cell(row[c], i + 2, header[c] if c < len(header) else c)
+            values[i, j] = _parse_cell(row[c], i + 2, header[c])
     if mode == "levels":
         if np.any(values <= 0.0):
             i, j = np.argwhere(values <= 0.0)[0]

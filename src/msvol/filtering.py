@@ -11,26 +11,24 @@ the univariate case and otherwise induces an upward drift (a shrinkage-type
 evolution of the precision).
 
 The recursion is run entirely in Cholesky-factor space: the scale matrix is
-carried as its upper triangular factor R (R'R = S) and each observation is
-absorbed with a Givens-style rank-one update.  This matters: the volatility
-path of the model is a multiplicative random walk, so the condition number of
-S grows without bound along a path, and forming S explicitly destroys the
-small eigendirections once the condition number passes 1/eps.  Working on the
-factor keeps the effective condition at its square root.
+carried as its upper triangular factor R (R'R = S), and each block of
+observations is absorbed by one batched QR of the previous factor stacked
+on the block's weighted observations.  This matters: the volatility path of
+the model is a multiplicative random walk, so the condition number of S
+grows without bound along a path, and forming S explicitly destroys the
+small eigendirections once the condition number passes 1/eps.  Working on
+the factor keeps the effective condition at its square root.  It does not
+make the forecast quantities exact: once cond(R) passes about 1e15, no
+float64 route tried keeps two digits of q = y'S^{-1}y.
 
 `run_filter` passes a whole series through the one kernel, `_filter_rows`;
 `step` passes a single observation through the same kernel.  Every
 factorization is recomputed from the factor at each step, so no incremental
 quantity ever degrades, which also subsumes any periodic refresh policy.
-
-The kernel runs the Givens sweep on plain Python floats, taking each
-hypotenuse from libm's `hypot` (via `np.hypot`; `math.hypot` rounds
-differently), and computes the per-step SVD, u, q and log|S_{t-1}| after
-the sweep in block-batched calls; `_filter_rows` says why.  Its outputs
-equal, bit for bit (q to one ulp), those of a per-step SVD-and-update loop
-on numpy scalars, which the tests keep as the reference.  It is also the
-one place that decides a step failed: it raises at the first step it
-cannot score, naming it, and `run_filter` and `step` pass the error on.
+The kernel is also the one place that decides a step failed: it raises at
+the first step it cannot score, naming it, and `run_filter` and `step`
+pass the error on.  Its outputs match those of a per-step SVD-and-update
+loop on numpy scalars, which the tests keep as the reference, to rounding.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +39,7 @@ from . import matstat
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 
 DELTA_MIN = 2.0 / 3.0
-_BLOCK = 256      # steps per batched SVD call after the update sweep
+_BLOCK = 64       # steps per batched QR and SVD call in _filter_rows
 
 
 def compute_k(delta, p):
@@ -151,8 +149,8 @@ def step(cfg, state, y):
 
     Raises DimensionMismatch for a wrong shape, DomainError for a non-finite
     y, and the kernel's error, naming step state.t, if the step cannot be
-    scored: NotPositiveDefinite for a singular scale, DomainError when q or
-    the new scale leaves float64 range.
+    scored: NotPositiveDefinite for a singular scale, DomainError when k q
+    or the new scale leaves float64 range.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (cfg.p,):
@@ -172,29 +170,26 @@ def step(cfg, state, y):
 
 
 def _filter_rows(Y, R0, k):
-    """One full filter pass over the rows of Y.
+    """One full filter pass over the rows of Y, in blocks of `_BLOCK` steps.
 
-    The pass has two stages.  The first runs the rank-one update
-    S <- S/k + y y' on the factor, one step after another, on plain Python
-    floats: R is a list of rows and y_t a list, because reading and writing
-    numpy scalars one at a time costs several times the arithmetic itself.
-    The hypotenuse comes from libm's `hypot` through `np.hypot`:
-    `math.hypot` rounds differently, and along an ill-conditioned path a
-    last-bit change grows into visibly different forecasts.  Each
-    post-update factor R_t is stored in the output buffer.
+    Within a block that starts at step s from the factor R_{s-1} (R0 for
+    the first block), the recursion unrolls to
 
-    The second stage needs only the stored factors, so it runs after the
-    loop, forward in blocks of `_BLOCK` steps.  Each block starts from the
-    factor the previous block ended on (R0 for the first): the block's
-    factors are turned into R'R in place, and one batched SVD of the
-    pre-update factors R_{t-1} gives u, q and log|S_{t-1}| with the same
-    products and summation order as a per-step SVD.  The blocks keep the
-    temporaries small.
+        S_{s+j} = k^{-(j+1)} S_{s-1} + sum_{i<=j} k^{-(j-i)} y_{s+i} y_{s+i}',
+
+    so R_{s+j} is the triangular factor of the (p+b) x p stack whose rows
+    are k^{-(j+1)/2} R_{s-1}, then k^{-(j-i)/2} y_{s+i}' for i <= j, then
+    zeros.  One batched QR gives every factor of the block, and one batched
+    SVD of the pre-update factors R_{s-1}, ..., R_{s+b-2} then gives u, q
+    and log|S_{t-1}|.  The next block starts from the block's last factor,
+    with the rows whose diagonal entry is negative negated (R'R and the
+    SVD's u, q and log|S| do not depend on the rows' signs).
 
     The pass raises at the first step t it cannot score, naming t (0-based):
-    NotPositiveDefinite when S_{t-1} is singular (a zero pivot, which ends
-    the first stage, or a zero singular value of R_{t-1}); DomainError when
-    R_t, q_t or S_t is not finite.
+    NotPositiveDefinite when S_{t-1} is singular (R_{t-1} has a zero
+    diagonal entry or a zero singular value; the SVD may give an exactly
+    singular triangle a tiny nonzero one); DomainError when S_t or k q_t
+    is not finite.
 
     Parameters
     ----------
@@ -213,70 +208,42 @@ def _filter_rows(Y, R0, k):
     """
     N, p = Y.shape
     scales = np.empty((N, p, p))
-    sqrt_k = np.sqrt(k)
-    inv_sqrt_k = float(1.0 / sqrt_k)
-    hypot = np.hypot
-    R = R0.tolist()
-    pivot = N          # the first step with a zero pivot, if any
+    u = np.empty((N, p))
+    q = np.empty(N)
+    logdet_pre = np.empty(N)
+    R = R0
     # a value out of float64 range is caught by the checks, not as a warning
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for t in range(N):
-            x = Y[t].tolist()
-            try:
-                for j in range(p):
-                    row = R[j]
-                    rjj = row[j] * inv_sqrt_k
-                    xj = x[j]
-                    r = float(hypot(rjj, xj))
-                    c = r / rjj
-                    s = xj / rjj
-                    row[j] = r
-                    for i in range(j + 1, p):
-                        rji = (row[i] * inv_sqrt_k + s * x[i]) / c
-                        row[i] = rji
-                        x[i] = c * x[i] - s * rji
-            except ZeroDivisionError:
-                pivot = t
-                break
-            scales[t] = R
-
-        u = np.empty((N, p))
-        q = np.empty(N)
-        logdet_pre = np.empty(N)
-        prev = R0
-        for start in range(0, pivot, _BLOCK):
-            stop = min(start + _BLOCK, pivot)
-            fac = np.concatenate((prev[None], scales[start:stop]))
-            post = fac[1:]
-            scales[start:stop] = post.transpose(0, 2, 1) @ post
-            # S_t is not finite if R_t is not, and the SVD cannot take such
-            # an R_t; the steps before it are scored first
-            finite = np.isfinite(scales[start:stop]).all(axis=(1, 2))
-            b = stop - start if finite.all() else int(np.argmin(finite))
-            _, d, vt = np.linalg.svd(fac[:b])
-            z = (vt @ Y[start:start + b, :, None])[..., 0]
-            w = z / d
-            log_d = np.log(d)
-            ld = np.zeros(b)
-            qt = np.zeros(b)
-            for i in range(p):
-                ld += log_d[:, i]
-                # pow, as a numpy scalar's ** 2 is; w * w can differ by an ulp
-                qt += np.float_power(w[:, i], 2.0)
-            singular = ~(d[:, p - 1] > 0.0)
-            bad = singular | ~np.isfinite(qt)
+        e = np.arange(min(_BLOCK, N))
+        lift = k ** (-0.5 * (e + 1.0))                     # k^{-(j+1)/2}
+        decay = np.tril(k ** (-0.5 * (e[:, None] - e)))   # k^{-(j-i)/2}, i <= j
+        for s in range(0, N, _BLOCK):
+            b = min(_BLOCK, N - s)
+            y = Y[s:s + b]
+            stack = np.concatenate((lift[:b, None, None] * R,
+                                    decay[:b, :b, None] * y), axis=1)
+            fac = np.linalg.qr(stack, mode="r")
+            post = scales[s:s + b]
+            np.matmul(fac.transpose(0, 2, 1), fac, out=post)
+            # the SVD cannot take a non-finite factor; S_t is finite only if
+            # R_t is, so the steps up to the first non-finite S_t are scored
+            finite = np.isfinite(post).all(axis=(1, 2))
+            m = b if finite.all() else int(np.argmin(finite)) + 1
+            pre = np.concatenate((R[None], fac[:m - 1]))
+            _, d, vt = np.linalg.svd(pre)
+            w = (vt @ y[:m, :, None])[..., 0] / d
+            qt = np.sum(w * w, axis=1)
+            singular = ((np.diagonal(pre, axis1=1, axis2=2) == 0.0).any(axis=1)
+                        | ~(d[:, -1] > 0.0))
+            bad = singular | ~np.isfinite(k * qt) | ~finite[:m]
             if bad.any():
                 first = int(np.argmax(bad))
-                raise _step_error(start + first, singular[first])
-            if b < stop - start:
-                raise _step_error(start + b, singular=False)
-            logdet_pre[start:stop] = 2.0 * ld
-            q[start:stop] = qt
-            u[start:stop] = sqrt_k * (vt.transpose(0, 2, 1) @ w[..., None])[..., 0]
-            prev = fac[b]
-    if pivot < N:
-        raise _step_error(pivot, singular=True)
-    return scales, u, q, logdet_pre, np.array(R)
+                raise _step_error(s + first, singular[first])
+            q[s:s + b] = qt
+            logdet_pre[s:s + b] = 2.0 * np.sum(np.log(d), axis=1)
+            u[s:s + b] = np.sqrt(k) * (vt.transpose(0, 2, 1) @ w[..., None])[..., 0]
+            R = np.where(np.diag(fac[-1]) < 0.0, -1.0, 1.0)[:, None] * fac[-1]
+    return scales, u, q, logdet_pre, R
 
 
 def _step_error(t, singular):
@@ -341,7 +308,7 @@ def run_filter(cfg, returns):
     DimensionMismatch for a wrong shape, DomainError naming the first
     non-finite row and column, and the kernel's error naming the first step
     it cannot score: NotPositiveDefinite for a singular pre-update scale,
-    DomainError when the factor, q or the scale leaves float64 range.
+    DomainError when k q or the scale leaves float64 range.
     """
     returns = np.asarray(returns, dtype=float)
     if returns.ndim != 2 or returns.shape[1] != cfg.p:

@@ -93,7 +93,9 @@ def filter_rows_reference(Y, R0, k):
     """Per-step filter pass on numpy scalars: one SVD and one update per row.
 
     The straightforward form of `filtering._filter_rows`, with the same
-    arguments and returns; the kernel must reproduce its outputs.
+    arguments and returns.  The kernel takes its factors from a block QR,
+    not from this Givens update, so it matches these outputs within
+    rounding bounds, not bit for bit.
     """
     N, p = Y.shape
     R = R0.copy()

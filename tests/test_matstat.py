@@ -191,7 +191,10 @@ class TestStudentT:
                           - 0.5 * np.log(np.pi) - ((n + 1) / 2) * np.log1p(grid**2))
             ref = student_t_logpdf([grid[123]], n)
             assert math.isclose(ref, float(np.log(dens[123])), rel_tol=1e-12)
-            assert abs(np.trapezoid(dens, grid) - 1.0) < 1e-4
+            # the trapezoid rule on the uniform grid (numpy 1.24 has no
+            # np.trapezoid)
+            area = (grid[1] - grid[0]) * (dens.sum() - 0.5 * (dens[0] + dens[-1]))
+            assert abs(area - 1.0) < 1e-4
 
     def test_domain(self):
         with pytest.raises(DomainError):
