@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import NUMBA_ENABLED, __version__
-from .diagnostics import grid_search
+from .diagnostics import FLAT_DAY_POLICIES, check_prior_window, grid_search
 from .errors import (DataError, DomainError, MissingValue, MsvolError,
                      NonPositiveLevel, NotPositiveDefinite, ParseError)
+from .filtering import compute_k
 from .simulator import SimConfig, simulate_path
 
 DEFAULT_DELTAS = (0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
@@ -37,6 +38,7 @@ class ReturnsFrame:
     labels: list
     times: list
     values: np.ndarray
+    lines: np.ndarray = None   # the file line (1-based) of each row of values
 
 
 def _parse_cell(text, row, col):
@@ -59,21 +61,23 @@ def load_csv(path, mode):
 
     If the first column's body is non-numeric it is carried through as an
     opaque time label.  In "levels" mode columns are converted to log
-    differences (one fewer row); "returns" mode is a passthrough.
+    differences (one fewer row, each on the later price's line); "returns"
+    mode is a passthrough.  Messages name a cell by its file line.
     """
     if mode not in ("levels", "returns"):
         raise DomainError(f"mode must be 'levels' or 'returns', got {mode}")
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
-    lines = [ln for ln in lines if ln.strip() != ""]
-    if len(lines) < 2:
+        text = [ln.rstrip("\n").rstrip("\r") for ln in fh]
+    numbers = np.flatnonzero([ln.strip() != "" for ln in text]) + 1   # 1-based
+    if len(numbers) < 2:
         raise ParseError(f"{path}: need a header row and at least one data row")
-    header = [c.strip() for c in lines[0].split(",")]
-    body = [ln.split(",") for ln in lines[1:]]
+    header = [c.strip() for c in text[numbers[0] - 1].split(",")]
+    lines = numbers[1:]                  # the file line of each data row
+    body = [text[n - 1].split(",") for n in lines]
     width = len(header)
-    for i, row in enumerate(body):
+    for n, row in zip(lines, body):
         if len(row) != width:
-            raise ParseError(f"row {i + 2} has {len(row)} fields, expected {width}")
+            raise ParseError(f"row {n} has {len(row)} fields, expected {width}")
     # first column is a time label when the first data row's cell is
     # non-numeric; later non-numeric cells are parse errors, not a signal
     # to reinterpret the column
@@ -97,16 +101,15 @@ def load_csv(path, mode):
     values = np.empty((len(body), len(labels)))
     for i, row in enumerate(body):
         for j, c in enumerate(data_cols):
-            values[i, j] = _parse_cell(row[c], i + 2, header[c])
+            values[i, j] = _parse_cell(row[c], lines[i], header[c])
     if mode == "levels":
         if np.any(values <= 0.0):
             i, j = np.argwhere(values <= 0.0)[0]
-            raise NonPositiveLevel(
-                f"level <= 0 at row {i + 2}, column {labels[j]} in levels mode"
-            )
+            raise NonPositiveLevel(f"level <= 0 at row {lines[i]}, column "
+                                   f"{labels[j]} in levels mode")
         values = np.diff(np.log(values), axis=0)
-        times = times[1:]
-    return ReturnsFrame(labels=labels, times=times, values=values)
+        times, lines = times[1:], lines[1:]
+    return ReturnsFrame(labels=labels, times=times, values=values, lines=lines)
 
 
 def _write_table(path, header, times, values):
@@ -197,14 +200,12 @@ def run(args):
     if not deltas:
         raise DomainError("empty discount-factor grid")
     for d in deltas:
-        if not 2.0 / 3.0 < d < 1.0:
-            raise DomainError(f"discount factor {d} outside (2/3, 1)")
+        compute_k(d, 1)   # raises for a delta outside (2/3, 1)
     if args.baseline not in deltas:
         raise DomainError(f"baseline {args.baseline} not in grid")
     if args.scale <= 0.0 or not math.isfinite(args.scale):
         raise DomainError(f"scale must be positive and finite, got {args.scale}")
-    if args.prior_window < 2:
-        raise DomainError(f"prior window must be >= 2, got {args.prior_window}")
+    check_prior_window(args.prior_window)
 
     t0 = time.perf_counter()
     frame = load_csv(args.input, args.mode)
@@ -215,13 +216,11 @@ def run(args):
                           min(args.prior_window, values.shape[0]))
     bad = np.argwhere(np.abs(values) >= bound)
     if bad.size:
-        # CSV row as load_csv counts it; in levels mode, the later price
         i, j = bad[0]
-        row = i + (3 if args.mode == "levels" else 2)
         scaled = f" after --scale {args.scale:g}" if args.scale != 1.0 else ""
-        raise DataError(f"the return at row {row}, column {frame.labels[j]} "
-                        f"is {values[i, j]:g}{scaled}; the scale matrix "
-                        f"overflows unless every |return| < {bound:.4g}")
+        raise DataError(f"the return at row {frame.lines[i]}, column "
+                        f"{frame.labels[j]} is {values[i, j]:g}{scaled}; the "
+                        f"scale matrix overflows unless every |return| < {bound:.4g}")
     if values.shape[0] < 2:
         raise DataError(f"need at least 2 returns for the default prior, "
                         f"got {values.shape[0]}")
@@ -329,7 +328,7 @@ def build_parser():
                         help="baseline discount factor for Bayes factors")
     parser.add_argument("--prior-window", type=int, default=30,
                         help="burn-in length for the default prior scale")
-    parser.add_argument("--flat-day", choices=("skip", "floor"), default="floor",
+    parser.add_argument("--flat-day", choices=FLAT_DAY_POLICIES, default="floor",
                         help="likelihood policy for zero-return days")
     parser.add_argument("--out", metavar="DIR", default=".",
                         help="output directory")

@@ -23,9 +23,22 @@ import numpy as np
 
 from . import matstat
 from .errors import DimensionMismatch, DomainError
-from .filtering import new_config, require_finite, run_filter
+from .filtering import new_config, require_finite, run_filter, validate_prior
 
 FLAT_EIGENVALUE_TOL = 1e-10
+FLAT_DAY_POLICIES = ("floor", "skip")   # see loglik_total
+
+
+def check_flat_day(flat_day):
+    """Raise DomainError unless `flat_day` is one of FLAT_DAY_POLICIES."""
+    if flat_day not in FLAT_DAY_POLICIES:
+        raise DomainError(f"flat_day must be in {FLAT_DAY_POLICIES}, got {flat_day!r}")
+
+
+def check_prior_window(prior_window):
+    """Raise DomainError unless the default prior's burn-in has 2 rows or more."""
+    if prior_window < 2:
+        raise DomainError(f"prior window must be >= 2, got {prior_window}")
 
 
 def loglik_constant(cfg, N):
@@ -63,14 +76,13 @@ def loglik_total(run, flat_day="floor"):
 
     Returns a Loglik whose `total` is the log-likelihood.
     """
-    if flat_day not in ("floor", "skip"):
-        raise DomainError(f"flat_day must be 'floor' or 'skip', got {flat_day}")
+    check_flat_day(flat_day)
     cfg = run.cfg
-    p, d, k = cfg.p, cfg.delta, cfg.k
+    p, d = cfg.p, cfg.delta
     c_coef = cfg.posterior_mean_coef
     a = (2 * d - 1) / (2 * (1 - d))
     b = (3 * d - 2) / (2 * (1 - d))
-    kq = k * run.q
+    kq = run.u_sq
     lam = kq / (1.0 + kq)                 # the single positive eigenvalue
     flat = lam < FLAT_EIGENVALUE_TOL
     log_lt = np.where(flat, np.log(FLAT_EIGENVALUE_TOL) if flat_day == "floor" else 0.0,
@@ -93,10 +105,8 @@ def bayes_factor_series(run, baseline_run):
     """
     if run.q.shape != baseline_run.q.shape:
         raise DimensionMismatch("runs cover different numbers of steps")
-    lp1 = matstat.student_t_logpdf_from_sq(run.u_sq, run.cfg.forecast_df, run.cfg.p)
-    lp2 = matstat.student_t_logpdf_from_sq(baseline_run.u_sq,
-                                           baseline_run.cfg.forecast_df,
-                                           baseline_run.cfg.p)
+    lp1, lp2 = (matstat.student_t_logpdf_from_sq(r.u_sq, r.cfg.forecast_df, r.cfg.p)
+                for r in (run, baseline_run))
     return lp1 - lp2
 
 
@@ -169,8 +179,9 @@ def grid_search(data, deltas, baseline_delta, prior_scale=None, prior_window=30,
     If `prior_scale` is None, each row uses the default prior: the identity
     scaled by the mean sample variance of the first `prior_window`
     observations, normalized so the prior plug-in volatility matches that
-    variance.  Failed rows are marked in the report and never abort the
-    others; the baseline row's Bayes factor is exactly zero by construction.
+    variance.  A bad `flat_day`, `prior_window` or `prior_scale` raises at
+    once; a row that fails is marked in the report and never aborts the
+    others.  The baseline row's Bayes factor is exactly zero by construction.
     `report.runs` holds the FilterRun of every row that succeeded.
     """
     data = np.asarray(data, dtype=float)
@@ -182,6 +193,11 @@ def grid_search(data, deltas, baseline_delta, prior_scale=None, prior_window=30,
         raise DomainError("empty discount-factor grid")
     if float(baseline_delta) not in deltas:
         raise DomainError(f"baseline {baseline_delta} not in grid {deltas}")
+    check_flat_day(flat_day)
+    if prior_scale is None:
+        check_prior_window(prior_window)
+    else:
+        validate_prior(prior_scale, data.shape[1])
     report = GridReport(baseline_delta=float(baseline_delta))
     for d in deltas:
         row = GridRow(delta=d)
@@ -221,8 +237,7 @@ def default_prior_scale(data, delta, prior_window):
     burn-in variance times the identity.  A variance, or a scale, that
     overflows float64 raises DomainError.
     """
-    if prior_window < 2:
-        raise DomainError(f"prior window must be >= 2, got {prior_window}")
+    check_prior_window(prior_window)
     window = data[: min(prior_window, data.shape[0])]
     if window.shape[0] < 2:
         raise DomainError("need at least 2 observations for the default prior")

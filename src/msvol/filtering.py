@@ -21,13 +21,13 @@ the factor keeps the effective condition at its square root.  It does not
 make the forecast quantities exact: once cond(R) passes about 1e15, no
 float64 route tried keeps two digits of q = y'S^{-1}y.
 
-`run_filter` passes a whole series through the one kernel, `_filter_rows`;
-`step` passes a single observation through the same kernel.  Every
-factorization is recomputed from the factor at each step, so no incremental
-quantity ever degrades, which also subsumes any periodic refresh policy.
-The kernel is also the one place that decides a step failed: it raises at
-the first step it cannot score, naming it, and `run_filter` and `step`
-pass the error on.  Its outputs match those of a per-step SVD-and-update
+`run_filter` (a series, from the prior) and `step` (one observation, from
+any `FilterState`) check their input and call the one kernel, `_filter_rows`,
+which returns the `FilterRun`; its final_state is where the next pass or step
+starts.  Every factorization is recomputed from the factor at each step, so
+no incremental quantity ever degrades.  The kernel is the one place that
+decides a step failed: it raises at the first step it cannot score, named
+from the state's t.  Its outputs match those of a per-step SVD-and-update
 loop on numpy scalars, which the tests keep as the reference, to rounding.
 """
 
@@ -85,15 +85,20 @@ class ModelConfig:
 def new_config(p, delta, prior_scale):
     """Validate inputs and populate all derived constants."""
     k = compute_k(delta, p)              # checks delta and p
-    prior_scale = matstat.validate_spd(prior_scale, "prior_scale")
-    if prior_scale.shape[0] != p:
-        raise DimensionMismatch(
-            f"prior_scale has dimension {prior_scale.shape[0]}, expected {p}"
-        )
+    prior_scale = validate_prior(prior_scale, p)
     n = 1.0 / (1.0 - delta)
     m = delta / (1.0 - delta) + p - 1
     return ModelConfig(p=p, delta=delta, k=k, n=n, m=m,
                        prior_scale=prior_scale)
+
+
+def validate_prior(prior_scale, p):
+    """The symmetrized prior scale; raises unless it is a p x p SPD matrix."""
+    prior_scale = matstat.validate_spd(prior_scale, "prior_scale")
+    if prior_scale.shape[0] != p:
+        raise DimensionMismatch(f"prior_scale has dimension "
+                                f"{prior_scale.shape[0]}, expected {p}")
+    return prior_scale
 
 
 @dataclass(frozen=True)
@@ -156,24 +161,17 @@ def step(cfg, state, y):
     if y.shape != (cfg.p,):
         raise DimensionMismatch(f"observation has shape {y.shape}, expected ({cfg.p},)")
     require_finite(y, "observation")
-    try:
-        scales, u, q, logdet_pre, r_new = _filter_rows(y[None], state.scale_chol, cfg.k)
-    except (NotPositiveDefinite, DomainError) as exc:   # its step 0 is step state.t
-        raise _step_error(state.t, isinstance(exc, NotPositiveDefinite)) from None
-    run = FilterRun(cfg=cfg, scales=scales, u=u, q=q, logdet_pre=logdet_pre)
-    new_state = FilterState(t=state.t + 1, scale_chol=r_new)
-    out = StepOutput(forecast_scale=prior_mean_next(cfg, state), u=u[0],
-                     u_star=run.u_star[0],
-                     predictive_logdensity=float(run.predictive_logdensity[0]),
-                     q=float(q[0]))
-    return new_state, out
+    run = _filter_rows(cfg, state, y[None])
+    return run.final_state, StepOutput(
+        forecast_scale=prior_mean_next(cfg, state), u=run.u[0], u_star=run.u_star[0],
+        predictive_logdensity=float(run.predictive_logdensity[0]), q=float(run.q[0]))
 
 
-def _filter_rows(Y, R0, k):
-    """One full filter pass over the rows of Y, in blocks of `_BLOCK` steps.
+def _filter_rows(cfg, state, Y):
+    """One filter pass over the rows of Y, in blocks of `_BLOCK` steps.
 
-    Within a block that starts at step s from the factor R_{s-1} (R0 for
-    the first block), the recursion unrolls to
+    Within a block that starts at row s from the factor R_{s-1} (the state's
+    factor for the first block), the recursion unrolls to
 
         S_{s+j} = k^{-(j+1)} S_{s-1} + sum_{i<=j} k^{-(j-i)} y_{s+i} y_{s+i}',
 
@@ -193,30 +191,25 @@ def _filter_rows(Y, R0, k):
 
     Parameters
     ----------
+    cfg : the model; its k is the decay constant of S <- S/k + y y'.
+    state : the step of row 0 of Y (state.t) and the scale before it.
     Y : (N, p) finite observations, one row per time step.
-    R0 : (p, p) upper triangular factor of the initial scale matrix.
-    k : decay constant of the recursion S <- S/k + y y'.
 
     Returns
     -------
-    scales : (N, p, p) post-update scale matrices S_t.
-    u : (N, p) standardized errors sqrt(k) * S_{t-1}^{-1/2} y_t
-        (symmetric square root).
-    q : (N,) quadratic forms y_t' S_{t-1}^{-1} y_t.
-    logdet_pre : (N,) log|S_{t-1}| (the pre-update scale).
-    R : (p, p) upper triangular factor of the final scale S_N.
+    The FilterRun; its final_state is step state.t + N, with S_N's factor.
     """
     N, p = Y.shape
     scales = np.empty((N, p, p))
     u = np.empty((N, p))
     q = np.empty(N)
     logdet_pre = np.empty(N)
-    R = R0
+    R = state.scale_chol
     # a value out of float64 range is caught by the checks, not as a warning
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         e = np.arange(min(_BLOCK, N))
-        lift = k ** (-0.5 * (e + 1.0))                     # k^{-(j+1)/2}
-        decay = np.tril(k ** (-0.5 * (e[:, None] - e)))   # k^{-(j-i)/2}, i <= j
+        lift = cfg.k ** (-0.5 * (e + 1.0))                    # k^{-(j+1)/2}
+        decay = np.tril(cfg.k ** (-0.5 * (e[:, None] - e)))   # k^{-(j-i)/2}, i <= j
         for s in range(0, N, _BLOCK):
             b = min(_BLOCK, N - s)
             y = Y[s:s + b]
@@ -235,23 +228,20 @@ def _filter_rows(Y, R0, k):
             qt = np.sum(w * w, axis=1)
             singular = ((np.diagonal(pre, axis1=1, axis2=2) == 0.0).any(axis=1)
                         | ~(d[:, -1] > 0.0))
-            bad = singular | ~np.isfinite(k * qt) | ~finite[:m]
+            bad = singular | ~np.isfinite(cfg.k * qt) | ~finite[:m]
             if bad.any():
                 first = int(np.argmax(bad))
-                raise _step_error(s + first, singular[first])
+                where = f"at step {state.t + s + first} (0-based)"
+                if singular[first]:
+                    raise NotPositiveDefinite(f"filter scale matrix lost "
+                                              f"positive definiteness {where}")
+                raise DomainError(f"the filter leaves float64 range {where}")
             q[s:s + b] = qt
             logdet_pre[s:s + b] = 2.0 * np.sum(np.log(d), axis=1)
-            u[s:s + b] = np.sqrt(k) * (vt.transpose(0, 2, 1) @ w[..., None])[..., 0]
+            u[s:s + b] = np.sqrt(cfg.k) * (vt.transpose(0, 2, 1) @ w[..., None])[..., 0]
             R = np.where(np.diag(fac[-1]) < 0.0, -1.0, 1.0)[:, None] * fac[-1]
-    return scales, u, q, logdet_pre, R
-
-
-def _step_error(t, singular):
-    """The error for step t, which the filter cannot score."""
-    if singular:
-        return NotPositiveDefinite(f"filter scale matrix lost positive "
-                                   f"definiteness at step {t} (0-based)")
-    return DomainError(f"the filter leaves float64 range at step {t} (0-based)")
+    return FilterRun(cfg=cfg, scales=scales, u=u, q=q, logdet_pre=logdet_pre,
+                     final_state=FilterState(t=state.t + N, scale_chol=R))
 
 
 def posterior_mean(cfg, state):
@@ -284,14 +274,13 @@ class FilterRun:
 
     @property
     def u_sq(self):
-        """u'u per step (invariant to the choice of square root)."""
-        return np.sum(self.u * self.u, axis=1)
+        """u'u = k q per step, which the kernel keeps finite."""
+        return self.cfg.k * self.q
 
     @property
     def logdet_post(self):
         """log|S_t| of the post-update scales, in closed form."""
-        kq = self.cfg.k * self.q
-        return self.logdet_pre - self.cfg.p * np.log(self.cfg.k) + np.log1p(kq)
+        return self.logdet_pre - self.cfg.p * np.log(self.cfg.k) + np.log1p(self.u_sq)
 
     @property
     def predictive_logdensity(self):
@@ -304,8 +293,7 @@ class FilterRun:
 def run_filter(cfg, returns):
     """Run the filter over an (N, p) return matrix, from the prior scale.
 
-    The run holds the kernel's own arrays; nothing is copied.  Raises
-    DimensionMismatch for a wrong shape, DomainError naming the first
+    Raises DimensionMismatch for a wrong shape, DomainError naming the first
     non-finite row and column, and the kernel's error naming the first step
     it cannot score: NotPositiveDefinite for a singular pre-update scale,
     DomainError when k q or the scale leaves float64 range.
@@ -316,7 +304,4 @@ def run_filter(cfg, returns):
             f"returns must have shape (N, {cfg.p}), got {returns.shape}"
         )
     require_finite(returns, "returns")
-    scales, u, q, logdet_pre, r_final = _filter_rows(
-        np.ascontiguousarray(returns), matstat.chol_upper(cfg.prior_scale), cfg.k)
-    return FilterRun(cfg=cfg, scales=scales, u=u, q=q, logdet_pre=logdet_pre,
-                     final_state=FilterState(t=len(returns), scale_chol=r_final))
+    return _filter_rows(cfg, initial_state(cfg), np.ascontiguousarray(returns))

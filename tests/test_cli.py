@@ -75,6 +75,26 @@ class TestLoadCsv:
         # the same file is fine as returns
         assert cli.load_csv(f, "returns").values.shape == (3, 1)
 
+    @pytest.mark.parametrize("text, mode, error", [
+        ("a,b\n0.1,0.2\n\n0.3,oops\n", "returns", ParseError),
+        ("a,b\n0.1,0.2\n\n0.3,\n", "returns", MissingValue),
+        ("a,b\n0.1,0.2\n\n0.3\n", "returns", ParseError),
+        ("\na,b\n0.1,0.2\n0.3,oops\n", "returns", ParseError),
+        ("a\n1.0\n\n0.0\n", "levels", NonPositiveLevel),
+    ], ids=["bad-cell", "missing-cell", "ragged-row", "blank-before-header",
+            "level"])
+    def test_blank_line_keeps_file_line(self, tmp_path, text, mode, error):
+        # the bad cell is on line 4 of the file, past a blank line
+        f = write(tmp_path / "b.csv", text)
+        with pytest.raises(error, match=r"row 4\b"):
+            cli.load_csv(f, mode)
+
+    def test_rows_carry_file_lines(self, tmp_path):
+        f = write(tmp_path / "l.csv", "x\n1\n\n2\n\n\n4\n")
+        assert list(cli.load_csv(f, "returns").lines) == [2, 4, 7]
+        # a log difference sits on the later price's line
+        assert list(cli.load_csv(f, "levels").lines) == [4, 7]
+
     def test_header_only(self, tmp_path):
         f = write(tmp_path / "h.csv", "a,b\n")
         with pytest.raises(ParseError):
@@ -258,6 +278,13 @@ class TestExitCodes:
             assert cli.main(["--input", levels, "--mode", "levels",
                              "--scale", "1e307"]) == 2
             assert "row 3, column a" in capsys.readouterr().err
+            # past a blank line, both messages name the file line
+            blank = write(tmp_path / "blank.csv", "a,b\n0.1,0.2\n\n0.3,oops\n")
+            assert cli.main(["--input", blank]) == 2
+            assert "row 4, column b" in capsys.readouterr().err
+            blank_big = write(tmp_path / "blank_big.csv", "a,b\n0.1,0.2\n\n0.3,1e300\n")
+            assert cli.main(["--input", blank_big, "--scale", "1e10"]) == 2
+            assert "row 4, column b" in capsys.readouterr().err
         capsys.readouterr()
 
     def test_failed_rows_do_not_abort(self, tmp_path, capsys):

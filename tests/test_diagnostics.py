@@ -7,7 +7,7 @@ import pytest
 from scipy.special import gammaln
 
 from msvol import diagnostics, filtering, matstat
-from msvol.errors import DimensionMismatch, DomainError
+from msvol.errors import DimensionMismatch, DomainError, NotPositiveDefinite
 from oracles import (MsseAccumulator, SingularityError, bayes_factor, loglik_term,
                      msse_update)
 
@@ -266,6 +266,18 @@ class TestGridSearch:
             diagnostics.grid_search(ys, [0.8, 0.9], 0.85)
         with pytest.raises(DimensionMismatch):
             diagnostics.grid_search(ys[:, 0], [0.9], 0.9)
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"flat_day": "drop"}, DomainError),
+        ({"prior_window": 1}, DomainError),
+        ({"prior_scale": np.eye(3)}, DimensionMismatch),
+        ({"prior_scale": [[1.0, 2.0], [2.0, 1.0]]}, NotPositiveDefinite),
+    ], ids=["flat_day", "prior_window", "prior_dimension", "prior_not_spd"])
+    def test_call_error_raises_before_scoring(self, kwargs, error):
+        # the same for every row, so not a failed row each
+        ys = simulate_returns(2, 100, seed=17)
+        with pytest.raises(error):
+            diagnostics.grid_search(ys, self.deltas, 0.95, **kwargs)
 
     def test_report_shape(self):
         ys = simulate_returns(2, 120, seed=15)

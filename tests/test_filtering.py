@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -201,6 +202,29 @@ class TestExactExpansion:
             assert rel_err(state.scale, run.scales[t]) <= 1e-13
         assert rel_err(state.scale_chol, run.final_state.scale_chol) <= 1e-13
 
+    def test_step_continues_a_batch_run(self):
+        # the forecasting workflow: a batch run, then one step per new row
+        rng = np.random.default_rng(9)
+        cfg = filtering.new_config(3, 0.9, np.eye(3))
+        ys = rng.standard_normal((150, 3))
+        run = filtering.run_filter(cfg, ys)
+        density = run.predictive_logdensity
+        state = filtering.run_filter(cfg, ys[:100]).final_state
+        for t in range(100, 150):
+            state, out = filtering.step(cfg, state, ys[t])
+            assert rel_err(out.u, run.u[t]) <= 1e-13
+            assert rel_err(out.q, run.q[t]) <= 1e-13
+            assert abs(out.predictive_logdensity - density[t]) <= 1e-12
+            assert rel_err(state.scale, run.scales[t]) <= 1e-13
+        assert state.t == 150
+        assert rel_err(state.scale_chol, run.final_state.scale_chol) <= 1e-13
+        # a step that cannot be scored is named by its place in the series
+        ys[120] = 1e200
+        state = filtering.run_filter(cfg, ys[:100]).final_state
+        with pytest.raises(DomainError, match=r"at step 120 \(0-based\)"):
+            for t in range(100, 150):
+                state, _ = filtering.step(cfg, state, ys[t])
+
 
 class TestFactorInvariants:
     def test_final_factor_reconstructs_scale(self):
@@ -397,6 +421,13 @@ class TestReferenceKernel:
 
     B = filtering._BLOCK
 
+    @staticmethod
+    def kernel(k, r0, ys):
+        """The kernel from factor r0 at step 0, with decay constant k."""
+        p = r0.shape[0]
+        cfg = dataclasses.replace(filtering.new_config(p, 0.9, np.eye(p)), k=k)
+        return filtering._filter_rows(cfg, filtering.FilterState(0, r0), ys)
+
     @pytest.mark.parametrize("p", [1, 2, 8])
     @pytest.mark.parametrize("n_blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
     def test_run_filter_matches_reference(self, p, n_blocks, extra):
@@ -418,14 +449,23 @@ class TestReferenceKernel:
         for p, r0 in ZERO_PIVOT.items():
             ys = np.random.default_rng(5).standard_normal((self.B + 2, p))
             with pytest.raises(NotPositiveDefinite, match=r"at step 0 \(0-based\)"):
-                filtering._filter_rows(ys, r0, 1.1)
+                self.kernel(1.1, r0, ys)
 
     def test_zero_singular_value_at_start_names_step_0(self):
         # no zero pivot, but d_min = 1e-400 / 1e150 underflows to 0
         ys = np.random.default_rng(5).standard_normal((3, 2))
         r0 = np.array([[1e-200, 1e150], [0.0, 1e-200]])
         with pytest.raises(NotPositiveDefinite, match=r"at step 0 \(0-based\)"):
-            filtering._filter_rows(ys, r0, 1.1)
+            self.kernel(1.1, r0, ys)
+
+    def test_steps_are_counted_from_the_state(self):
+        cfg = filtering.new_config(2, 0.9, np.eye(2))
+        ys = np.random.default_rng(6).standard_normal((self.B + 10, 2))
+        run = filtering._filter_rows(cfg, filtering.FilterState(1000, np.eye(2)), ys)
+        assert run.final_state.t == 1000 + len(ys)
+        ys[self.B + 5] = 1e200
+        with pytest.raises(DomainError, match=rf"at step {1000 + self.B + 5} \(0-based\)"):
+            filtering._filter_rows(cfg, filtering.FilterState(1000, np.eye(2)), ys)
 
     def test_pivot_underflow_names_its_step(self):
         # A pivot never fed by y is scaled by 1/sqrt(k) a step.  With k = 16
@@ -439,11 +479,11 @@ class TestReferenceKernel:
         assert self.B < t
         ys = np.tile([1.0, 0.0], (t + 2, 1))
         with pytest.raises(NotPositiveDefinite, match=rf"at step {t + 1} \(0-based\)"):
-            filtering._filter_rows(ys, np.eye(2), 16.0)
+            self.kernel(16.0, np.eye(2), ys)
         # an earlier step that cannot be scored is named first
         ys[t - 100, 0] = 1e200
         with pytest.raises(DomainError, match=rf"at step {t - 100} \(0-based\)"):
-            filtering._filter_rows(ys, np.eye(2), 16.0)
+            self.kernel(16.0, np.eye(2), ys)
 
 
 class TestOutOfRange:
