@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import NUMBA_ENABLED, __version__
-from .diagnostics import FLAT_DAY_POLICIES, check_prior_window, grid_search
+from .diagnostics import FLAT_DAY_POLICIES, check_default_prior, grid_search
 from .errors import (DataError, DomainError, MissingValue, MsvolError,
                      NonPositiveLevel, NotPositiveDefinite, ParseError)
 from .filtering import compute_k
@@ -205,7 +205,7 @@ def run(args):
         raise DomainError(f"baseline {args.baseline} not in grid")
     if args.scale <= 0.0 or not math.isfinite(args.scale):
         raise DomainError(f"scale must be positive and finite, got {args.scale}")
-    check_prior_window(args.prior_window)
+    check_default_prior(args.prior_window)
 
     t0 = time.perf_counter()
     frame = load_csv(args.input, args.mode)
@@ -230,8 +230,7 @@ def run(args):
                          prior_window=args.prior_window,
                          flat_day=args.flat_day)
     timings["grid_seconds"] = time.perf_counter() - t0
-    ok_rows = [r for r in report.rows if r.ok]
-    if not any(r.delta == args.baseline for r in ok_rows):
+    if args.baseline not in report.runs:
         raise NotPositiveDefinite("baseline row failed" + "".join(
             f"\n  delta={_delta_text(r.delta)}: {r.error}"
             for r in report.rows if not r.ok))
@@ -246,7 +245,7 @@ def run(args):
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     series_paths = emit_series(args.out, frame, report.runs)
-    cols = [d for d in deltas if d in report.h_series]
+    cols = sorted(report.h_series)
     _write_table(os.path.join(args.out, "bayes_factors.csv"),
                  ["time"] + [f"H_{_delta_text(d)}" for d in cols], frame.times,
                  lambda lo, hi: np.column_stack([report.h_series[d][lo:hi]
@@ -269,7 +268,8 @@ def run(args):
         "flat_day": args.flat_day,
         "seed": args.seed,
         "best_delta": report.best_delta(),
-        "flat_day_counts": {_delta_text(r.delta): r.flat_count for r in ok_rows},
+        "flat_day_counts": {_delta_text(r.delta): r.flat_count
+                            for r in report.rows if r.ok},
         "failed_rows": {_delta_text(r.delta): r.error
                         for r in report.rows if not r.ok},
         "timings": {k: round(v, 6) for k, v in timings.items()},

@@ -16,7 +16,7 @@ report with one row per candidate, compared against a baseline.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -35,10 +35,16 @@ def check_flat_day(flat_day):
         raise DomainError(f"flat_day must be in {FLAT_DAY_POLICIES}, got {flat_day!r}")
 
 
-def check_prior_window(prior_window):
-    """Raise DomainError unless the default prior's burn-in has 2 rows or more."""
+def check_default_prior(prior_window, n_rows=2):
+    """Raise DomainError unless the default prior's burn-in has 2 rows or more.
+
+    It needs `prior_window` >= 2 and data of `n_rows` >= 2 rows; the default
+    `n_rows` checks the window alone, before the data is read.
+    """
     if prior_window < 2:
         raise DomainError(f"prior window must be >= 2, got {prior_window}")
+    if n_rows < 2:
+        raise DomainError("need at least 2 observations for the default prior")
 
 
 def loglik_constant(cfg, N):
@@ -120,7 +126,7 @@ class GridRow:
     loglik: float = None
     mean_h: float = None
     h_positive_count: int = None
-    flat_count: int = 0
+    flat_count: int = None
     error: str = None
 
     @property
@@ -130,7 +136,11 @@ class GridRow:
 
 @dataclass
 class GridReport:
-    """Scores for a grid of discount factors against one baseline."""
+    """Scores for a grid of discount factors against one baseline.
+
+    `rows` is in ascending delta order; `h_series` and `runs` hold only the
+    rows that succeeded.
+    """
 
     baseline_delta: float
     rows: list = field(default_factory=list)
@@ -139,7 +149,7 @@ class GridReport:
 
     def to_tsv(self):
         lines = ["delta\tMMSSE\tLogL\tH"]
-        for row in sorted(self.rows, key=lambda r: r.delta):
+        for row in self.rows:
             if row.ok:
                 lines.append("%.10g\t%.10g\t%.10g\t%.10g"
                              % (row.delta, row.mmsse, row.loglik, row.mean_h))
@@ -150,19 +160,8 @@ class GridReport:
     def to_dict(self):
         return {
             "baseline_delta": self.baseline_delta,
-            "rows": [
-                {
-                    "delta": r.delta,
-                    "mmsse": r.mmsse,
-                    "msse": None if r.msse is None else [float(x) for x in r.msse],
-                    "loglik": r.loglik,
-                    "mean_h": r.mean_h,
-                    "h_positive_count": r.h_positive_count,
-                    "flat_count": r.flat_count,
-                    "error": r.error,
-                }
-                for r in sorted(self.rows, key=lambda r: r.delta)
-            ],
+            "rows": [dict(asdict(r), msse=None if r.msse is None else r.msse.tolist())
+                     for r in self.rows],
         }
 
     def best_delta(self):
@@ -179,54 +178,53 @@ def grid_search(data, deltas, baseline_delta, prior_scale=None, prior_window=30,
     If `prior_scale` is None, each row uses the default prior: the identity
     scaled by the mean sample variance of the first `prior_window`
     observations, normalized so the prior plug-in volatility matches that
-    variance.  A bad `flat_day`, `prior_window` or `prior_scale` raises at
-    once; a row that fails is marked in the report and never aborts the
-    others.  The baseline row's Bayes factor is exactly zero by construction.
-    `report.runs` holds the FilterRun of every row that succeeded.
+    variance.  Empty data, a bad `flat_day`, `prior_window` or `prior_scale`,
+    or fewer than 2 rows for the default prior raise at once; a row that
+    fails is marked in the report and never aborts the others.  The baseline
+    row is scored first, and its Bayes factor is exactly zero by
+    construction; when it fails, every other row is marked failed too.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise DimensionMismatch(f"data must be 2-d, got shape {data.shape}")
+    if data.shape[0] == 0:
+        raise DomainError("data has no rows")
     require_finite(data, "data")
     deltas = sorted(set(float(d) for d in deltas))
     if not deltas:
         raise DomainError("empty discount-factor grid")
-    if float(baseline_delta) not in deltas:
+    base = float(baseline_delta)
+    if base not in deltas:
         raise DomainError(f"baseline {baseline_delta} not in grid {deltas}")
     check_flat_day(flat_day)
     if prior_scale is None:
-        check_prior_window(prior_window)
+        check_default_prior(prior_window, data.shape[0])
     else:
         validate_prior(prior_scale, data.shape[1])
-    report = GridReport(baseline_delta=float(baseline_delta))
-    for d in deltas:
-        row = GridRow(delta=d)
+    report = GridReport(baseline_delta=base)
+    rows = {}
+    for d in sorted(deltas, key=lambda d: d != base):   # the baseline first
         try:
             s0 = prior_scale if prior_scale is not None \
                 else default_prior_scale(data, d, prior_window)
-            cfg = new_config(data.shape[1], d, s0)
-            run = run_filter(cfg, data)
+            run = run_filter(new_config(data.shape[1], d, s0), data)
             loglik = loglik_total(run, flat_day=flat_day)
             msse = np.mean(run.u_star ** 2, axis=0)
-            row.msse = msse
-            row.mmsse = float(np.mean(msse))
-            row.loglik = loglik.total
-            row.flat_count = loglik.flat_count
-            report.runs[d] = run
         except Exception as exc:  # noqa: BLE001 - row isolation is the contract
-            row.error = f"{type(exc).__name__}: {exc}"
-        report.rows.append(row)
-    base_run = report.runs.get(float(baseline_delta))
-    for row in report.rows:
-        if not row.ok:
+            rows[d] = GridRow(d, error=f"{type(exc).__name__}: {exc}")
             continue
+        base_run = run if d == base else report.runs.get(base)
         if base_run is None:
-            row.error = "baseline row failed; Bayes factors unavailable"
+            rows[d] = GridRow(d, error="baseline row failed; Bayes factors unavailable")
             continue
-        h = bayes_factor_series(report.runs[row.delta], base_run)
-        report.h_series[row.delta] = h
-        row.mean_h = float(np.mean(h)) if h.size else 0.0
-        row.h_positive_count = int(np.sum(h > 0))
+        h = bayes_factor_series(run, base_run)
+        rows[d] = GridRow(d, mmsse=float(np.mean(msse)), msse=msse,
+                          loglik=loglik.total, mean_h=float(np.mean(h)),
+                          h_positive_count=int(np.sum(h > 0)),
+                          flat_count=loglik.flat_count)
+        report.runs[d] = run
+        report.h_series[d] = h
+    report.rows = [rows[d] for d in deltas]
     return report
 
 
@@ -237,10 +235,8 @@ def default_prior_scale(data, delta, prior_window):
     burn-in variance times the identity.  A variance, or a scale, that
     overflows float64 raises DomainError.
     """
-    check_prior_window(prior_window)
+    check_default_prior(prior_window, data.shape[0])
     window = data[: min(prior_window, data.shape[0])]
-    if window.shape[0] < 2:
-        raise DomainError("need at least 2 observations for the default prior")
     require_finite(window, "burn-in window")
     with np.errstate(over="ignore"):
         v = float(np.mean(np.var(window, axis=0, ddof=1)))

@@ -63,3 +63,19 @@ def test_failed_baseline_row_is_a_numerical_failure(tmp_path, capsys, monkeypatc
         "  delta=0.9: baseline row failed; Bayes factors unavailable\n"
         "  delta=0.95: NotPositiveDefinite: prior scale is singular\n")
     assert not out.exists()
+
+
+def test_singular_baseline_from_data_is_a_numerical_failure(tmp_path, capsys):
+    # two moving rows then flat days: at delta 0.7 the scale matrix decays
+    # until its factor is singular, before the last row
+    csv = write(tmp_path / "flat.csv",
+                "a,b\n0.1,0.2\n0.2,0.1\n" + "0,0\n" * 6000)
+    out = tmp_path / "run"
+    assert cli.main(["--input", csv, "--deltas", "0.7", "--baseline", "0.7",
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: baseline row failed\n"
+                          "  delta=0.7: NotPositiveDefinite: filter scale "
+                          "matrix lost positive definiteness at step ")
+    assert err.count("\n") == 2
+    assert not out.exists()

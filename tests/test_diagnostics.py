@@ -257,6 +257,11 @@ class TestGridSearch:
         ys = simulate_returns(2, 100, seed=13)
         report = diagnostics.grid_search(ys, [0.5, 0.9], 0.5)
         assert all(not r.ok for r in report.rows)
+        assert report.runs == {} and report.h_series == {}
+        scored = report.rows[1]
+        assert scored.error == "baseline row failed; Bayes factors unavailable"
+        assert scored.mmsse is None and scored.msse is None and scored.loglik is None
+        assert scored.flat_count is None
 
     def test_validation(self):
         ys = simulate_returns(2, 50, seed=14)
@@ -267,17 +272,22 @@ class TestGridSearch:
         with pytest.raises(DimensionMismatch):
             diagnostics.grid_search(ys[:, 0], [0.9], 0.9)
 
-    @pytest.mark.parametrize("kwargs, error", [
-        ({"flat_day": "drop"}, DomainError),
-        ({"prior_window": 1}, DomainError),
-        ({"prior_scale": np.eye(3)}, DimensionMismatch),
-        ({"prior_scale": [[1.0, 2.0], [2.0, 1.0]]}, NotPositiveDefinite),
-    ], ids=["flat_day", "prior_window", "prior_dimension", "prior_not_spd"])
-    def test_call_error_raises_before_scoring(self, kwargs, error):
+    @pytest.mark.parametrize("rows, kwargs, error", [
+        (100, {"flat_day": "drop"}, DomainError),
+        (100, {"prior_window": 1}, DomainError),
+        (100, {"prior_scale": np.eye(3)}, DimensionMismatch),
+        (100, {"prior_scale": [[1.0, 2.0], [2.0, 1.0]]}, NotPositiveDefinite),
+        (1, {}, DomainError),
+        (0, {"prior_scale": np.eye(2)}, DomainError),
+    ], ids=["flat_day", "prior_window", "prior_dimension", "prior_not_spd",
+            "one_row_default_prior", "no_rows"])
+    def test_call_error_raises_before_scoring(self, rows, kwargs, error):
         # the same for every row, so not a failed row each
-        ys = simulate_returns(2, 100, seed=17)
-        with pytest.raises(error):
-            diagnostics.grid_search(ys, self.deltas, 0.95, **kwargs)
+        ys = simulate_returns(2, 100, seed=17)[:rows]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                diagnostics.grid_search(ys, self.deltas, 0.95, **kwargs)
 
     def test_report_shape(self):
         ys = simulate_returns(2, 120, seed=15)
