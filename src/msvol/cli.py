@@ -59,49 +59,49 @@ def _parse_cell(text, row, col):
 def load_csv(path, mode):
     """Read a comma-separated file with a header row into a ReturnsFrame.
 
-    If the first column's body is non-numeric it is carried through as an
-    opaque time label.  In "levels" mode columns are converted to log
-    differences (one fewer row, each on the later price's line); "returns"
-    mode is a passthrough.  Messages name a cell by its file line.
+    One pass: blank lines are skipped, each data row is checked and parsed as
+    it is read, and the first error in file order is raised.  A non-numeric
+    first cell in the first data row makes its column an opaque time label.
+    "levels" mode then takes log differences (one fewer row, each on the
+    later price's line).  Messages name a cell by its file line.
     """
+    from array import array   # here: a --simulate run reads no CSV
     if mode not in ("levels", "returns"):
         raise DomainError(f"mode must be 'levels' or 'returns', got {mode}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = [ln.rstrip("\n").rstrip("\r") for ln in fh]
-    numbers = np.flatnonzero([ln.strip() != "" for ln in text]) + 1   # 1-based
-    if len(numbers) < 2:
-        raise ParseError(f"{path}: need a header row and at least one data row")
-    header = [c.strip() for c in text[numbers[0] - 1].split(",")]
-    lines = numbers[1:]                  # the file line of each data row
-    body = [text[n - 1].split(",") for n in lines]
-    width = len(header)
-    for n, row in zip(lines, body):
-        if len(row) != width:
-            raise ParseError(f"row {n} has {len(row)} fields, expected {width}")
-    # first column is a time label when the first data row's cell is
-    # non-numeric; later non-numeric cells are parse errors, not a signal
-    # to reinterpret the column
-    first_is_time = False
-    cell = body[0][0].strip()
+    header, times = None, []
+    values, lines = array("d"), array("q")   # lines: the file line of each row
     try:
-        float(cell)
-    except ValueError:
-        if cell.lower() not in ("nan", "na", ""):
-            first_is_time = True
-    if first_is_time:
-        times = [row[0].strip() for row in body]
-        labels = header[1:]
-        data_cols = range(1, width)
-    else:
-        times = list(range(1, len(body) + 1))
-        labels = header
-        data_cols = range(width)
-    if not labels:
-        raise ParseError(f"{path}: no data columns")
-    values = np.empty((len(body), len(labels)))
-    for i, row in enumerate(body):
-        for j, c in enumerate(data_cols):
-            values[i, j] = _parse_cell(row[c], lines[i], header[c])
+        # utf-8-sig drops the byte-order mark of an Excel "CSV UTF-8" export
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            for n, ln in enumerate(fh, 1):
+                if ln.strip() == "":
+                    continue
+                row = ln.split(",")
+                if header is None:
+                    header = [c.strip() for c in row]
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(f"row {n} has {len(row)} fields, "
+                                     f"expected {len(header)}")
+                if not lines:
+                    # first = 1 when the first data row makes column 0 a time label
+                    first = 0
+                    try:
+                        float(row[0])
+                    except ValueError:
+                        first = int(row[0].strip().lower() not in ("nan", "na", ""))
+                    if first == len(header):
+                        raise ParseError(f"{path}: no data columns")
+                values.extend([_parse_cell(row[c], n, header[c])
+                               for c in range(first, len(header))])
+                times.append(row[0].strip() if first else len(lines) + 1)
+                lines.append(n)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not lines:
+        raise ParseError(f"{path}: need a header row and at least one data row")
+    labels = header[first:]
+    values, lines = np.array(values).reshape(len(lines), -1), np.array(lines)
     if mode == "levels":
         if np.any(values <= 0.0):
             i, j = np.argwhere(values <= 0.0)[0]

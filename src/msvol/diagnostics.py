@@ -187,8 +187,8 @@ def grid_search(data, deltas, baseline_delta, prior_scale=None, prior_window=30,
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise DimensionMismatch(f"data must be 2-d, got shape {data.shape}")
-    if data.shape[0] == 0:
-        raise DomainError("data has no rows")
+    if 0 in data.shape:
+        raise DomainError(f"data has no rows or no columns: shape {data.shape}")
     require_finite(data, "data")
     deltas = sorted(set(float(d) for d in deltas))
     if not deltas:

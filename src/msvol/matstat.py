@@ -20,8 +20,8 @@ def validate_spd(a, name="matrix"):
     attempting a Cholesky factorization.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionMismatch(f"{name} must be square and non-empty: shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NotPositiveDefinite(f"{name} contains non-finite entries")
     # half the difference against half the tolerance: the same test, and

@@ -272,18 +272,21 @@ class TestGridSearch:
         with pytest.raises(DimensionMismatch):
             diagnostics.grid_search(ys[:, 0], [0.9], 0.9)
 
-    @pytest.mark.parametrize("rows, kwargs, error", [
-        (100, {"flat_day": "drop"}, DomainError),
-        (100, {"prior_window": 1}, DomainError),
-        (100, {"prior_scale": np.eye(3)}, DimensionMismatch),
-        (100, {"prior_scale": [[1.0, 2.0], [2.0, 1.0]]}, NotPositiveDefinite),
-        (1, {}, DomainError),
-        (0, {"prior_scale": np.eye(2)}, DomainError),
+    @pytest.mark.parametrize("rows, cols, kwargs, error", [
+        (100, 2, {"flat_day": "drop"}, DomainError),
+        (100, 2, {"prior_window": 1}, DomainError),
+        (100, 2, {"prior_scale": np.eye(3)}, DimensionMismatch),
+        (100, 2, {"prior_scale": [[1.0, 2.0], [2.0, 1.0]]}, NotPositiveDefinite),
+        (1, 2, {}, DomainError),
+        (0, 2, {"prior_scale": np.eye(2)}, DomainError),
+        (5, 0, {}, DomainError),
+        (5, 0, {"prior_scale": np.eye(0)}, DomainError),
     ], ids=["flat_day", "prior_window", "prior_dimension", "prior_not_spd",
-            "one_row_default_prior", "no_rows"])
-    def test_call_error_raises_before_scoring(self, rows, kwargs, error):
+            "one_row_default_prior", "no_rows", "no_columns_default_prior",
+            "no_columns_empty_prior"])
+    def test_call_error_raises_before_scoring(self, rows, cols, kwargs, error):
         # the same for every row, so not a failed row each
-        ys = simulate_returns(2, 100, seed=17)[:rows]
+        ys = simulate_returns(2, 100, seed=17)[:rows, :cols]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(error):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from msvol import matstat
-from msvol.errors import DomainError, NotPositiveDefinite
+from msvol.errors import DimensionMismatch, DomainError, NotPositiveDefinite
 from oracles import (bartlett_lower, log_det, positive_eigenvalues, student_t_logpdf,
                      sym_inv_sqrt, wishart_sample)
 
@@ -20,6 +20,12 @@ def random_spd(p, rng, jitter=1.0):
 
 
 class TestValidateSpd:
+    def test_empty_matrix(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch, match="non-empty"):
+                matstat.validate_spd(np.eye(0))
+
     def test_huge_antisymmetric_entries_not_symmetric(self):
         # a - a.T would overflow to inf here; the test must not
         with warnings.catch_warnings():
