@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import NUMBA_ENABLED, __version__
-from .diagnostics import FLAT_DAY_POLICIES, check_default_prior, grid_search
+from .diagnostics import FLAT_DAY_POLICIES, check_default_prior, check_grid, grid_search
 from .errors import (DataError, DomainError, MissingValue, MsvolError,
                      NonPositiveLevel, NotPositiveDefinite, ParseError)
-from .filtering import compute_k
 from .simulator import SimConfig, simulate_path
 
 DEFAULT_DELTAS = (0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
@@ -63,7 +62,8 @@ def load_csv(path, mode):
     it is read, and the first error in file order is raised.  A non-numeric
     first cell in the first data row makes its column an opaque time label.
     "levels" mode then takes log differences (one fewer row, each on the
-    later price's line).  Messages name a cell by its file line.
+    later price's line).  Messages name a cell by its file line and leave
+    the path to the caller.
     """
     from array import array   # here: a --simulate run reads no CSV
     if mode not in ("levels", "returns"):
@@ -91,15 +91,15 @@ def load_csv(path, mode):
                     except ValueError:
                         first = int(row[0].strip().lower() not in ("nan", "na", ""))
                     if first == len(header):
-                        raise ParseError(f"{path}: no data columns")
+                        raise ParseError("no data columns")
                 values.extend([_parse_cell(row[c], n, header[c])
                                for c in range(first, len(header))])
                 times.append(row[0].strip() if first else len(lines) + 1)
                 lines.append(n)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise ParseError(f"not UTF-8 text ({exc.reason})") from None
     if not lines:
-        raise ParseError(f"{path}: need a header row and at least one data row")
+        raise ParseError("need a header row and at least one data row")
     labels = header[first:]
     values, lines = np.array(values).reshape(len(lines), -1), np.array(lines)
     if mode == "levels":
@@ -154,7 +154,8 @@ def emit_series(out_dir, frame, runs):
         run = runs[d]
 
         def vol_corr(lo, hi):
-            m = run.cfg.posterior_mean_coef * run.scales[lo:hi, rows, cols]
+            post = run.factors[lo + 1:hi + 1]   # R_lo..R_{hi-1}
+            m = run.cfg.posterior_mean_coef * (post.transpose(0, 2, 1) @ post)[:, rows, cols]
             sd = np.sqrt(m[:, :p])
             m[:, :p] = sd
             m[:, p:] /= sd[:, iu] * sd[:, ju]
@@ -193,16 +194,10 @@ def run(args):
     timings = {}
     t_total = time.perf_counter()
     try:
-        deltas = sorted(set(float(d) for d in args.deltas.split(",")
-                            if d.strip() != ""))
+        deltas = [float(d) for d in args.deltas.split(",") if d.strip() != ""]
     except ValueError:
         raise DomainError(f"cannot parse --deltas {args.deltas!r}") from None
-    if not deltas:
-        raise DomainError("empty discount-factor grid")
-    for d in deltas:
-        compute_k(d, 1)   # raises for a delta outside (2/3, 1)
-    if args.baseline not in deltas:
-        raise DomainError(f"baseline {args.baseline} not in grid")
+    deltas = check_grid(deltas, args.baseline)
     if args.scale <= 0.0 or not math.isfinite(args.scale):
         raise DomainError(f"scale must be positive and finite, got {args.scale}")
     check_default_prior(args.prior_window)

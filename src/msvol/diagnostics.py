@@ -23,7 +23,7 @@ import numpy as np
 
 from . import matstat
 from .errors import DimensionMismatch, DomainError
-from .filtering import new_config, require_finite, run_filter, validate_prior
+from .filtering import compute_k, new_config, require_finite, run_filter, validate_prior
 
 FLAT_EIGENVALUE_TOL = 1e-10
 FLAT_DAY_POLICIES = ("floor", "skip")   # see loglik_total
@@ -33,6 +33,19 @@ def check_flat_day(flat_day):
     """Raise DomainError unless `flat_day` is one of FLAT_DAY_POLICIES."""
     if flat_day not in FLAT_DAY_POLICIES:
         raise DomainError(f"flat_day must be in {FLAT_DAY_POLICIES}, got {flat_day!r}")
+
+
+def check_grid(deltas, baseline):
+    """The sorted distinct grid; raises DomainError unless it is non-empty,
+    in (2/3, 1) and holds the baseline."""
+    deltas = sorted(set(float(d) for d in deltas))
+    if not deltas:
+        raise DomainError("empty discount-factor grid")
+    for d in deltas:
+        compute_k(d, 1)   # raises for a delta outside (2/3, 1)
+    if float(baseline) not in deltas:
+        raise DomainError(f"baseline {baseline} not in grid {deltas}")
+    return deltas
 
 
 def check_default_prior(prior_window, n_rows=2):
@@ -121,8 +134,8 @@ class GridRow:
     """One scored discount factor."""
 
     delta: float
-    mmsse: float = None
-    msse: np.ndarray = None
+    mmsse: float = None   # mean of u_star**2: mean(q) / (p forecast_scale_coef)
+    msse: np.ndarray = None   # per series; held by the report's best row only
     loglik: float = None
     mean_h: float = None
     h_positive_count: int = None
@@ -166,9 +179,7 @@ class GridReport:
 
     def best_delta(self):
         ok = [r for r in self.rows if r.ok]
-        if not ok:
-            return None
-        return max(ok, key=lambda r: r.loglik).delta
+        return max(ok, key=lambda r: r.loglik).delta if ok else None
 
 
 def grid_search(data, deltas, baseline_delta, prior_scale=None, prior_window=30,
@@ -178,11 +189,11 @@ def grid_search(data, deltas, baseline_delta, prior_scale=None, prior_window=30,
     If `prior_scale` is None, each row uses the default prior: the identity
     scaled by the mean sample variance of the first `prior_window`
     observations, normalized so the prior plug-in volatility matches that
-    variance.  Empty data, a bad `flat_day`, `prior_window` or `prior_scale`,
-    or fewer than 2 rows for the default prior raise at once; a row that
-    fails is marked in the report and never aborts the others.  The baseline
-    row is scored first, and its Bayes factor is exactly zero by
-    construction; when it fails, every other row is marked failed too.
+    variance.  Empty data, a bad grid, `flat_day`, `prior_window` or
+    `prior_scale`, or too few rows for the default prior raise at once; a
+    failed row never aborts the others.  The baseline is scored first (its
+    Bayes factor is exactly 0); if it fails, every row fails.  MMSSE comes
+    from q; only the `best_delta` row reads `u_star`, for `msse`.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -190,12 +201,7 @@ def grid_search(data, deltas, baseline_delta, prior_scale=None, prior_window=30,
     if 0 in data.shape:
         raise DomainError(f"data has no rows or no columns: shape {data.shape}")
     require_finite(data, "data")
-    deltas = sorted(set(float(d) for d in deltas))
-    if not deltas:
-        raise DomainError("empty discount-factor grid")
-    base = float(baseline_delta)
-    if base not in deltas:
-        raise DomainError(f"baseline {baseline_delta} not in grid {deltas}")
+    deltas, base = check_grid(deltas, baseline_delta), float(baseline_delta)
     check_flat_day(flat_day)
     if prior_scale is None:
         check_default_prior(prior_window, data.shape[0])
@@ -209,7 +215,6 @@ def grid_search(data, deltas, baseline_delta, prior_scale=None, prior_window=30,
                 else default_prior_scale(data, d, prior_window)
             run = run_filter(new_config(data.shape[1], d, s0), data)
             loglik = loglik_total(run, flat_day=flat_day)
-            msse = np.mean(run.u_star ** 2, axis=0)
         except Exception as exc:  # noqa: BLE001 - row isolation is the contract
             rows[d] = GridRow(d, error=f"{type(exc).__name__}: {exc}")
             continue
@@ -218,13 +223,15 @@ def grid_search(data, deltas, baseline_delta, prior_scale=None, prior_window=30,
             rows[d] = GridRow(d, error="baseline row failed; Bayes factors unavailable")
             continue
         h = bayes_factor_series(run, base_run)
-        rows[d] = GridRow(d, mmsse=float(np.mean(msse)), msse=msse,
-                          loglik=loglik.total, mean_h=float(np.mean(h)),
-                          h_positive_count=int(np.sum(h > 0)),
-                          flat_count=loglik.flat_count)
+        mmsse = float(np.mean(run.q)) / (run.cfg.forecast_scale_coef * data.shape[1])
+        rows[d] = GridRow(d, mmsse=mmsse, loglik=loglik.total, mean_h=float(np.mean(h)),
+                          h_positive_count=int(np.sum(h > 0)), flat_count=loglik.flat_count)
         report.runs[d] = run
         report.h_series[d] = h
     report.rows = [rows[d] for d in deltas]
+    best = report.best_delta()
+    if best is not None:
+        rows[best].msse = np.mean(report.runs[best].u_star ** 2, axis=0)
     return report
 
 
@@ -235,6 +242,8 @@ def default_prior_scale(data, delta, prior_window):
     burn-in variance times the identity.  A variance, or a scale, that
     overflows float64 raises DomainError.
     """
+    if data.ndim != 2 or data.shape[1] == 0:
+        raise DomainError(f"data has no columns: shape {data.shape}")
     check_default_prior(prior_window, data.shape[0])
     window = data[: min(prior_window, data.shape[0])]
     require_finite(window, "burn-in window")

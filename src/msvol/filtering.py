@@ -24,11 +24,10 @@ float64 route tried keeps two digits of q = y'S^{-1}y.
 `run_filter` (a series, from the prior) and `step` (one observation, from
 any `FilterState`) check their input and call the one kernel, `_filter_rows`,
 which returns the `FilterRun`; its final_state is where the next pass or step
-starts.  Every factorization is recomputed from the factor at each step, so
-no incremental quantity ever degrades.  The kernel is the one place that
-decides a step failed: it raises at the first step it cannot score, named
-from the state's t.  Its outputs match those of a per-step SVD-and-update
-loop on numpy scalars, which the tests keep as the reference, to rounding.
+starts.  The kernel is the one place that decides a step failed, and there
+alone it may take an SVD; `FilterRun` takes one only when u is read.  Its
+outputs match those of a per-step SVD-and-update loop on numpy scalars,
+which the tests keep as the reference, to rounding.
 """
 
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from . import matstat
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 
 DELTA_MIN = 2.0 / 3.0
-_BLOCK = 64       # steps per batched QR and SVD call in _filter_rows
+_BLOCK = 32       # steps per batched QR in _filter_rows, SVD in FilterRun
 
 
 def compute_k(delta, p):
@@ -152,10 +151,7 @@ def step(cfg, state, y):
     of the standardization map, (p/2) log k - (1/2) log|S|, so that values
     are comparable across discount factors on the observation scale.
 
-    Raises DimensionMismatch for a wrong shape, DomainError for a non-finite
-    y, and the kernel's error, naming step state.t, if the step cannot be
-    scored: NotPositiveDefinite for a singular scale, DomainError when k q
-    or the new scale leaves float64 range.
+    Raises as `run_filter` does, naming step state.t if it cannot be scored.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (cfg.p,):
@@ -168,7 +164,8 @@ def step(cfg, state, y):
 
 
 def _filter_rows(cfg, state, Y):
-    """One filter pass over the rows of Y, in blocks of `_BLOCK` steps.
+    """One filter pass over the finite (N, p) rows of Y from `state`, the step of
+    row 0 and the scale before it; returns the FilterRun, ending at state.t + N.
 
     Within a block that starts at row s from the factor R_{s-1} (the state's
     factor for the first block), the recursion unrolls to
@@ -177,34 +174,20 @@ def _filter_rows(cfg, state, Y):
 
     so R_{s+j} is the triangular factor of the (p+b) x p stack whose rows
     are k^{-(j+1)/2} R_{s-1}, then k^{-(j-i)/2} y_{s+i}' for i <= j, then
-    zeros.  One batched QR gives every factor of the block, and one batched
-    SVD of the pre-update factors R_{s-1}, ..., R_{s+b-2} then gives u, q
-    and log|S_{t-1}|.  The next block starts from the block's last factor,
-    with the rows whose diagonal entry is negative negated (R'R and the
-    SVD's u, q and log|S| do not depend on the rows' signs).
+    zeros.  One batched QR gives every factor of the block; the next block
+    starts from its last, with the rows whose diagonal entry is negative
+    negated.  Then one p-step forward substitution over the path solves
+    R_{t-1}' w_t = y_t: q_t = |w_t|^2, and log|S_{t-1}| = 2 sum log|r_ii|.
 
     The pass raises at the first step t it cannot score, naming t (0-based):
     NotPositiveDefinite when S_{t-1} is singular (R_{t-1} has a zero
-    diagonal entry or a zero singular value; the SVD may give an exactly
-    singular triangle a tiny nonzero one); DomainError when S_t or k q_t
-    is not finite.
-
-    Parameters
-    ----------
-    cfg : the model; its k is the decay constant of S <- S/k + y y'.
-    state : the step of row 0 of Y (state.t) and the scale before it.
-    Y : (N, p) finite observations, one row per time step.
-
-    Returns
-    -------
-    The FilterRun; its final_state is step state.t + N, with S_N's factor.
+    diagonal entry, or, found by a values-only SVD on this failure path
+    only, a singular value that underflows to zero); DomainError when S_t
+    or k q_t is not finite.
     """
     N, p = Y.shape
-    scales = np.empty((N, p, p))
-    u = np.empty((N, p))
-    q = np.empty(N)
-    logdet_pre = np.empty(N)
-    R = state.scale_chol
+    factors = np.empty((N + 1, p, p))   # R_{t-1} at row t
+    factors[0] = state.scale_chol
     # a value out of float64 range is caught by the checks, not as a warning
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         e = np.arange(min(_BLOCK, N))
@@ -212,36 +195,34 @@ def _filter_rows(cfg, state, Y):
         decay = np.tril(cfg.k ** (-0.5 * (e[:, None] - e)))   # k^{-(j-i)/2}, i <= j
         for s in range(0, N, _BLOCK):
             b = min(_BLOCK, N - s)
-            y = Y[s:s + b]
-            stack = np.concatenate((lift[:b, None, None] * R,
-                                    decay[:b, :b, None] * y), axis=1)
-            fac = np.linalg.qr(stack, mode="r")
-            post = scales[s:s + b]
-            np.matmul(fac.transpose(0, 2, 1), fac, out=post)
-            # the SVD cannot take a non-finite factor; S_t is finite only if
-            # R_t is, so the steps up to the first non-finite S_t are scored
-            finite = np.isfinite(post).all(axis=(1, 2))
-            m = b if finite.all() else int(np.argmin(finite)) + 1
-            pre = np.concatenate((R[None], fac[:m - 1]))
-            _, d, vt = np.linalg.svd(pre)
-            w = (vt @ y[:m, :, None])[..., 0] / d
-            qt = np.sum(w * w, axis=1)
-            singular = ((np.diagonal(pre, axis1=1, axis2=2) == 0.0).any(axis=1)
-                        | ~(d[:, -1] > 0.0))
-            bad = singular | ~np.isfinite(cfg.k * qt) | ~finite[:m]
-            if bad.any():
-                first = int(np.argmax(bad))
-                where = f"at step {state.t + s + first} (0-based)"
-                if singular[first]:
-                    raise NotPositiveDefinite(f"filter scale matrix lost "
-                                              f"positive definiteness {where}")
-                raise DomainError(f"the filter leaves float64 range {where}")
-            q[s:s + b] = qt
-            logdet_pre[s:s + b] = 2.0 * np.sum(np.log(d), axis=1)
-            u[s:s + b] = np.sqrt(cfg.k) * (vt.transpose(0, 2, 1) @ w[..., None])[..., 0]
-            R = np.where(np.diag(fac[-1]) < 0.0, -1.0, 1.0)[:, None] * fac[-1]
-    return FilterRun(cfg=cfg, scales=scales, u=u, q=q, logdet_pre=logdet_pre,
-                     final_state=FilterState(t=state.t + N, scale_chol=R))
+            fac = factors[s + 1:s + b + 1]
+            fac[:] = np.linalg.qr(np.concatenate((lift[:b, None, None] * factors[s],
+                                                  decay[:b, :b, None] * Y[s:s + b]), axis=1),
+                                  mode="r")
+            if not np.isfinite(fac).all():   # no block can start from it,
+                Y = Y[:s + b]                # so no later step is scored
+                break
+            fac[-1] *= np.where(np.diag(fac[-1]) < 0.0, -1.0, 1.0)[:, None]
+        pre, post = factors[:len(Y)], factors[1:len(Y) + 1]
+        diag = np.diagonal(pre, axis1=1, axis2=2)
+        w = np.empty_like(Y)
+        for i in range(p):   # R_{t-1}' w_t = y_t, by forward substitution
+            w[:, i] = (Y[:, i] - np.einsum("tj,tj->t", pre[:, :i, i], w[:, :i])) / diag[:, i]
+        q = np.einsum("tj,tj->t", w, w)
+        # S_t's diagonal holds R_t's squared column norms and bounds the rest
+        bad = (~np.isfinite(cfg.k * q) | (diag == 0.0).any(axis=1)
+               | ~np.isfinite(np.einsum("tij,tij->tj", post, post)).all(axis=1))
+        if bad.any():
+            t = int(np.argmax(bad))
+            where = f"at step {state.t + t} (0-based)"
+            if (diag[t] == 0.0).any() or not np.linalg.svd(pre[t], compute_uv=False)[-1] > 0.0:
+                raise NotPositiveDefinite(f"filter scale matrix lost "
+                                          f"positive definiteness {where}")
+            raise DomainError(f"the filter leaves float64 range {where}")
+        logdet = np.abs(diag)   # in place: one (N, p) temporary, not two
+        logdet = 2.0 * np.log(logdet, out=logdet).sum(axis=1)
+    return FilterRun(cfg=cfg, factors=factors, w=w, q=q, logdet_pre=logdet,
+                     final_state=FilterState(t=state.t + N, scale_chol=factors[-1].copy()))
 
 
 def posterior_mean(cfg, state):
@@ -259,18 +240,36 @@ def prior_mean_next(cfg, state):
 
 @dataclass(frozen=True)
 class FilterRun:
-    """Arrays produced by a full pass of the filter over a series."""
+    """A filter pass; `scales`, `u` and `u_star` are computed on each read."""
 
     cfg: ModelConfig
-    scales: np.ndarray       # (N, p, p) post-update scale matrices
-    u: np.ndarray            # (N, p)
-    q: np.ndarray            # (N,)
+    factors: np.ndarray      # (N+1, p, p) upper factors R_{-1}, ..., R_{N-1}
+    w: np.ndarray            # (N, p), R_{t-1}' w_t = y_t
+    q: np.ndarray            # (N,) |w_t|^2 = y_t' S_{t-1}^{-1} y_t
     logdet_pre: np.ndarray   # (N,) log|S_{t-1}|
     final_state: FilterState = field(repr=False, default=None)
 
     @property
+    def scales(self):
+        """(N, p, p) post-update scale matrices S_t = R_t'R_t."""
+        return self.factors[1:].transpose(0, 2, 1) @ self.factors[1:]
+
+    def _root(self, coef):
+        """(N, p) coef * S_{t-1}^{-1/2} y_t = coef * V U' w_t, R_{t-1} = U D V'."""
+        out, pre = np.empty_like(self.w), self.factors[:-1]
+        for lo in range(0, len(out), _BLOCK):
+            uu, _, vt = np.linalg.svd(pre[lo:lo + _BLOCK])
+            x = uu.transpose(0, 2, 1) @ self.w[lo:lo + _BLOCK, :, None]
+            out[lo:lo + _BLOCK] = coef * (vt.transpose(0, 2, 1) @ x)[..., 0]
+        return out
+
+    @property
+    def u(self):
+        return self._root(np.sqrt(self.cfg.k))   # see StepOutput
+
+    @property
     def u_star(self):
-        return np.sqrt((3 * self.cfg.delta - 2) / (1 - self.cfg.delta)) * self.u
+        return self._root(self.cfg.forecast_scale_coef ** -0.5)
 
     @property
     def u_sq(self):
@@ -294,14 +293,11 @@ def run_filter(cfg, returns):
     """Run the filter over an (N, p) return matrix, from the prior scale.
 
     Raises DimensionMismatch for a wrong shape, DomainError naming the first
-    non-finite row and column, and the kernel's error naming the first step
-    it cannot score: NotPositiveDefinite for a singular pre-update scale,
-    DomainError when k q or the scale leaves float64 range.
+    non-finite row and column, and the kernel's error (see `_filter_rows`)
+    naming the first step it cannot score.
     """
     returns = np.asarray(returns, dtype=float)
     if returns.ndim != 2 or returns.shape[1] != cfg.p:
-        raise DimensionMismatch(
-            f"returns must have shape (N, {cfg.p}), got {returns.shape}"
-        )
+        raise DimensionMismatch(f"returns must have shape (N, {cfg.p}), got {returns.shape}")
     require_finite(returns, "returns")
     return _filter_rows(cfg, initial_state(cfg), np.ascontiguousarray(returns))

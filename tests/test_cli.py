@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from msvol import cli, diagnostics, filtering
+from msvol import cli, diagnostics, filtering, matstat
 from msvol.errors import MissingValue, NonPositiveLevel, ParseError
 
 
@@ -143,7 +143,9 @@ class TestEmitSeries:
         scale = (a * np.eye(3) + b * np.ones((3, 3))) / cfg.posterior_mean_coef
         frame = cli.ReturnsFrame(labels=["x", "y", "z"], times=["t1"],
                                  values=np.zeros((1, 3)))
-        run = filtering.FilterRun(cfg=cfg, scales=scale[None], u=np.zeros((1, 3)),
+        # the run's factors: R_{-1}, then R_0 with R_0'R_0 = scale
+        factors = np.stack([np.eye(3), matstat.chol_upper(scale)])
+        run = filtering.FilterRun(cfg=cfg, factors=factors, w=np.zeros((1, 3)),
                                   q=np.zeros(1), logdet_pre=np.zeros(1))
         paths = cli.emit_series(str(tmp_path), frame, {0.9: run})
         assert paths == [str(tmp_path / "series_delta_0.9.csv")]
@@ -192,6 +194,10 @@ class TestMainAnalysis:
         assert deltas == sorted(deltas) == [0.8, 0.9, 0.95]
         base = next(r for r in report["rows"] if r["delta"] == 0.95)
         assert base["mean_h"] == 0.0
+        # the per-series MSSE is on the selected row only
+        with_msse = [r for r in report["rows"] if r["msse"] is not None]
+        assert [r["delta"] for r in with_msse] == [manifest["best_delta"]]
+        assert len(with_msse[0]["msse"]) == 2
 
         with open(out / "series_delta_0.9.csv", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -273,6 +279,11 @@ class TestExitCodes:
         # checked before the CSV is read: a missing file would exit 2
         assert cli.main(["--input", str(tmp_path / "missing.csv"),
                          "--prior-window", "1"]) == 1
+        capsys.readouterr()
+        # the grid is checked by diagnostics.check_grid, also before reading
+        assert cli.main(["--input", str(tmp_path / "missing.csv"),
+                         "--deltas", "0.5,0.9,1.2", "--baseline", "0.9"]) == 1
+        assert "got 0.5" in capsys.readouterr().err
         assert cli.main([]) == 1
         with pytest.raises(SystemExit) as exc:
             cli.main(["--mode", "prices", "--input", csv])
@@ -307,6 +318,12 @@ class TestExitCodes:
         assert cli.main(["--input", str(latin)]) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "latin.csv: not UTF-8" in err
+        assert err.count("latin.csv") == 1
+        # main names the file once, and the file-level messages do not
+        for name, text in (("empty.csv", "a,b\n"), ("labels.csv", "t\nmon\n")):
+            path = write(tmp_path / name, text)
+            assert cli.main(["--input", path]) == 2
+            assert capsys.readouterr().err.count(name) == 1
         # --scale overflows a finite cell: a data error naming the CSV cell
         big = write(tmp_path / "big.csv", "a,b\n0.1,1e300\n0.2,0.3\n")
         levels = write(tmp_path / "levels.csv", "a,b\n1.0,1.0\n1e300,2.0\n")

@@ -244,18 +244,21 @@ class TestGridSearch:
         b = diagnostics.grid_search(ys, self.deltas, 0.9).to_tsv()
         assert a == b
 
+    # two moving rows, then flat days: the scale shrinks by 1/k a step, and
+    # its pivots underflow to 0 near step 5670 for delta 0.7 (k = 1.3), but
+    # not within 6000 steps for delta 0.9 or 0.95
+    flat_tail = np.vstack([[[0.1, 0.2], [0.2, 0.1]], np.zeros((6000, 2))])
+
     def test_failed_row_is_isolated(self):
-        ys = simulate_returns(2, 100, seed=12)
-        report = diagnostics.grid_search(ys, [0.5, 0.9, 0.95], 0.95)
-        bad = next(r for r in report.rows if r.delta == 0.5)
-        good = [r for r in report.rows if r.delta != 0.5]
-        assert not bad.ok and "DomainError" in bad.error
+        report = diagnostics.grid_search(self.flat_tail, [0.7, 0.9, 0.95], 0.95)
+        bad = next(r for r in report.rows if r.delta == 0.7)
+        good = [r for r in report.rows if r.delta != 0.7]
+        assert not bad.ok and "NotPositiveDefinite" in bad.error
         assert all(r.ok for r in good)
         assert "FAILED" in report.to_tsv()
 
     def test_baseline_failure_marks_all(self):
-        ys = simulate_returns(2, 100, seed=13)
-        report = diagnostics.grid_search(ys, [0.5, 0.9], 0.5)
+        report = diagnostics.grid_search(self.flat_tail, [0.7, 0.9], 0.7)
         assert all(not r.ok for r in report.rows)
         assert report.runs == {} and report.h_series == {}
         scored = report.rows[1]
@@ -269,6 +272,8 @@ class TestGridSearch:
             diagnostics.grid_search(ys, [], 0.9)
         with pytest.raises(DomainError):
             diagnostics.grid_search(ys, [0.8, 0.9], 0.85)
+        with pytest.raises(DomainError, match="got 0.5"):
+            diagnostics.grid_search(ys, [0.5, 0.9, 1.2], 0.9)
         with pytest.raises(DimensionMismatch):
             diagnostics.grid_search(ys[:, 0], [0.9], 0.9)
 
@@ -312,6 +317,41 @@ class TestGridSearch:
             with pytest.raises(DomainError, match="row 1, column 0"):
                 diagnostics.grid_search(data, self.deltas, 0.95)
 
+    def test_check_grid(self):
+        assert diagnostics.check_grid([0.9, 0.8, 0.9], 0.8) == [0.8, 0.9]
+        for deltas, base in (([], 0.9), ([0.8, 0.9], 0.85), ([0.5, 0.9, 1.2], 0.9),
+                             ([0.9, 1.0], 0.9)):
+            with pytest.raises(DomainError):
+                diagnostics.check_grid(deltas, base)
+
+    def test_mmsse_from_q_matches_u_star(self):
+        ys = simulate_returns(3, 300, seed=18)
+        report = diagnostics.grid_search(ys, self.deltas, 0.95)
+        for row in report.rows:
+            msse = np.mean(report.runs[row.delta].u_star ** 2)
+            assert abs(row.mmsse - msse) <= 1e-12 * msse
+
+    def test_msse_on_the_best_row_only(self):
+        ys = simulate_returns(3, 300, seed=18)
+        report = diagnostics.grid_search(ys, self.deltas, 0.95)
+        best = report.best_delta()
+        for row in report.rows:
+            assert (row.msse is not None) == (row.delta == best)
+        run = report.runs[best]
+        np.testing.assert_allclose(report.rows[self.deltas.index(best)].msse,
+                                   np.mean(run.u_star ** 2, axis=0), rtol=1e-15)
+        msse = report.to_dict()["rows"]
+        assert [r["delta"] for r in msse if r["msse"] is not None] == [best]
+
+    def test_svd_only_for_the_best_rows_u_star(self, monkeypatch):
+        ys = simulate_returns(2, 3 * filtering._BLOCK + 5, seed=19)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        report = diagnostics.grid_search(ys, self.deltas, 0.95)
+        # one read of u_star takes one SVD call per block
+        assert len(calls) == 4 and all(r.ok for r in report.rows)
+
     def test_explicit_prior_scale(self):
         ys = simulate_returns(2, 100, seed=16)
         report = diagnostics.grid_search(ys, [0.9], 0.9, prior_scale=np.eye(2))
@@ -354,6 +394,12 @@ class TestDefaultPriorScale:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="burn-in variance overflows"):
                 diagnostics.default_prior_scale(np.array(data), 0.9, 30)
+
+    def test_no_columns_rejected_before_the_variance(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"shape \(5, 0\)"):
+                diagnostics.default_prior_scale(np.empty((5, 0)), 0.9, 30)
 
     def test_window_validation(self):
         with pytest.raises(DomainError):

@@ -400,6 +400,19 @@ class TestRunFilter:
         with pytest.raises(DimensionMismatch):
             filtering.run_filter(cfg, np.zeros((5, 3)))
 
+    def test_no_svd_on_the_success_path(self, monkeypatch):
+        # q, log|S| and the scales come from the factors; only u reads an SVD
+        cfg = filtering.new_config(8, 0.9, np.eye(8))
+        ys = np.random.default_rng(7).standard_normal((3 * filtering._BLOCK + 5, 8))
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        run = filtering.run_filter(cfg, ys)
+        _ = run.scales, run.predictive_logdensity, diagnostics.loglik_total(run)
+        assert calls == []
+        _ = run.u_star
+        assert len(calls) == 4   # one call per block of u_star
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_returns(self, bad):
         cfg = filtering.new_config(2, 0.9, np.eye(2))
