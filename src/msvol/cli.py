@@ -154,7 +154,7 @@ def emit_series(out_dir, frame, runs):
         run = runs[d]
 
         def vol_corr(lo, hi):
-            post = run.factors[lo + 1:hi + 1]   # R_lo..R_{hi-1}
+            post = run.factor_rows(lo + 1, hi + 1)   # R_lo..R_{hi-1}
             m = run.cfg.posterior_mean_coef * (post.transpose(0, 2, 1) @ post)[:, rows, cols]
             sd = np.sqrt(m[:, :p])
             m[:, :p] = sd

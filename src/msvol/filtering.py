@@ -24,12 +24,18 @@ float64 route tried keeps two digits of q = y'S^{-1}y.
 `run_filter` (a series, from the prior) and `step` (one observation, from
 any `FilterState`) check their input and call the one kernel, `_filter_rows`,
 which returns the `FilterRun`; its final_state is where the next pass or step
-starts.  The kernel is the one place that decides a step failed, and there
-alone it may take an SVD; `FilterRun` takes one only when u is read.  Its
-outputs match those of a per-step SVD-and-update loop on numpy scalars,
-which the tests keep as the reference, to rounding.
+starts.  The run holds the factor path packed, p(p+1)/2 numbers a step, and
+unpacks it a block at a time for each reader.  The kernel is the one place
+that decides a step failed, and there alone it may take an SVD; `FilterRun`
+takes one only when u is read.  Its outputs match those of a per-step
+SVD-and-update loop on numpy scalars, which the tests keep as the reference,
+to rounding.
 """
 
+import ctypes
+import functools
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +45,30 @@ from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 
 DELTA_MIN = 2.0 / 3.0
 _BLOCK = 32       # steps per batched QR in _filter_rows, SVD in FilterRun
+_MMAP_THRESHOLD = 1 << 20   # bytes; see _fix_mmap_threshold
+
+
+def _fix_mmap_threshold():
+    """Fix glibc malloc's mmap threshold at 1 MiB, unless the environment
+    already sets it (MALLOC_MMAP_THRESHOLD_).
+
+    glibc starts the threshold at 128 KiB and raises it to the size of each
+    mapped block that is freed.  Once a reader frees an (N, p, p) `scales`,
+    every smaller array goes to the heap, and the holes that runs of a
+    different size leave there stay resident: at p=8, N=20000 a loop of
+    passes, each followed by a `scales` read, grew from 41 to 59 MB over
+    three passes.  With the threshold fixed, each array of 1 MiB or more has
+    its own mapping and returns its pages when it is freed, and the loop
+    holds at 50 MB.
+    """
+    if "MALLOC_MMAP_THRESHOLD_" in os.environ or not sys.platform.startswith("linux"):
+        return
+    libc = ctypes.CDLL(None)
+    if hasattr(libc, "gnu_get_libc_version"):   # glibc, not musl
+        libc.mallopt(-3, _MMAP_THRESHOLD)       # -3 is M_MMAP_THRESHOLD
+
+
+_fix_mmap_threshold()
 
 
 def compute_k(delta, p):
@@ -158,8 +188,10 @@ def step(cfg, state, y):
         raise DimensionMismatch(f"observation has shape {y.shape}, expected ({cfg.p},)")
     require_finite(y, "observation")
     run = _filter_rows(cfg, state, y[None])
+    root = run._root()[0]   # one SVD for u and u_star
     return run.final_state, StepOutput(
-        forecast_scale=prior_mean_next(cfg, state), u=run.u[0], u_star=run.u_star[0],
+        forecast_scale=prior_mean_next(cfg, state), u=np.sqrt(cfg.k) * root,
+        u_star=cfg.forecast_scale_coef ** -0.5 * root,
         predictive_logdensity=float(run.predictive_logdensity[0]), q=float(run.q[0]))
 
 
@@ -174,10 +206,11 @@ def _filter_rows(cfg, state, Y):
 
     so R_{s+j} is the triangular factor of the (p+b) x p stack whose rows
     are k^{-(j+1)/2} R_{s-1}, then k^{-(j-i)/2} y_{s+i}' for i <= j, then
-    zeros.  One batched QR gives every factor of the block; the next block
-    starts from its last, with the rows whose diagonal entry is negative
-    negated.  Then one p-step forward substitution over the path solves
-    R_{t-1}' w_t = y_t: q_t = |w_t|^2, and log|S_{t-1}| = 2 sum log|r_ii|.
+    zeros.  One batched QR gives every factor of the block, and the path
+    keeps them packed (see `pack_upper`); the next block starts from the
+    last, with the rows whose diagonal entry is negative negated.  Then one
+    p-step forward substitution over the path solves R_{t-1}' w_t = y_t:
+    q_t = |w_t|^2, and log|S_{t-1}| = 2 sum log|r_ii|.
 
     The pass raises at the first step t it cannot score, naming t (0-based):
     NotPositiveDefinite when S_{t-1} is singular (R_{t-1} has a zero
@@ -186,8 +219,11 @@ def _filter_rows(cfg, state, Y):
     or k q_t is not finite.
     """
     N, p = Y.shape
-    factors = np.empty((N + 1, p, p))   # R_{t-1} at row t
-    factors[0] = state.scale_chol
+    _, _, starts, diagonal = _packed_index(p)
+    path = np.empty((N + 1, p * (p + 1) // 2))   # R_{t-1} at row t, packed
+    last = state.scale_chol
+    path[0] = pack_upper(last)
+    overflow = np.zeros(N, dtype=bool)    # S_t not finite, at row t
     # a value out of float64 range is caught by the checks, not as a warning
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         e = np.arange(min(_BLOCK, N))
@@ -195,34 +231,71 @@ def _filter_rows(cfg, state, Y):
         decay = np.tril(cfg.k ** (-0.5 * (e[:, None] - e)))   # k^{-(j-i)/2}, i <= j
         for s in range(0, N, _BLOCK):
             b = min(_BLOCK, N - s)
-            fac = factors[s + 1:s + b + 1]
-            fac[:] = np.linalg.qr(np.concatenate((lift[:b, None, None] * factors[s],
-                                                  decay[:b, :b, None] * Y[s:s + b]), axis=1),
-                                  mode="r")
-            if not np.isfinite(fac).all():   # no block can start from it,
-                Y = Y[:s + b]                # so no later step is scored
+            fac = np.linalg.qr(np.concatenate((lift[:b, None, None] * last,
+                                               decay[:b, :b, None] * Y[s:s + b]), axis=1),
+                               mode="r")
+            last = fac[-1] * np.where(np.diag(fac[-1]) < 0.0, -1.0, 1.0)[:, None]
+            fac[-1] = last
+            path[s + 1:s + b + 1] = pack_upper(fac)
+            # S_t's diagonal holds R_t's squared column norms and bounds the rest
+            overflow[s:s + b] = ~np.isfinite(np.einsum("tij,tij->tj", fac, fac)).all(axis=1)
+            if overflow[s:s + b].any():   # the pass fails here at the latest,
+                Y = Y[:s + b]             # so no later step is scored
                 break
-            fac[-1] *= np.where(np.diag(fac[-1]) < 0.0, -1.0, 1.0)[:, None]
-        pre, post = factors[:len(Y)], factors[1:len(Y) + 1]
-        diag = np.diagonal(pre, axis1=1, axis2=2)
+        pre = path[:len(Y)]
         w = np.empty_like(Y)
-        for i in range(p):   # R_{t-1}' w_t = y_t, by forward substitution
-            w[:, i] = (Y[:, i] - np.einsum("tj,tj->t", pre[:, :i, i], w[:, :i])) / diag[:, i]
+        # R_{t-1}' w_t = y_t, by forward substitution: the products of column i
+        # go down the rows of `prod`, so that summing them is a sequential
+        # multiply-add, as over a column of the full stack
+        prod = np.empty((p - 1, len(Y)))
+        for i, lo in enumerate(starts):
+            np.multiply(pre[:, lo:lo + i].T, w[:, :i].T, out=prod[:i])
+            w[:, i] = (Y[:, i] - np.add.reduce(prod[:i], axis=0, initial=0.0)) / pre[:, lo + i]
+        del prod
         q = np.einsum("tj,tj->t", w, w)
-        # S_t's diagonal holds R_t's squared column norms and bounds the rest
-        bad = (~np.isfinite(cfg.k * q) | (diag == 0.0).any(axis=1)
-               | ~np.isfinite(np.einsum("tij,tij->tj", post, post)).all(axis=1))
+        pivots = np.take(pre, diagonal, axis=1)   # C order, as sum(axis=1) reads it
+        np.abs(pivots, out=pivots)
+        bad = ~np.isfinite(cfg.k * q) | (pivots == 0.0).any(axis=1) | overflow[:len(Y)]
         if bad.any():
             t = int(np.argmax(bad))
             where = f"at step {state.t + t} (0-based)"
-            if (diag[t] == 0.0).any() or not np.linalg.svd(pre[t], compute_uv=False)[-1] > 0.0:
+            if (pivots[t] == 0.0).any() or \
+                    not np.linalg.svd(unpack_upper(pre[t], p), compute_uv=False)[-1] > 0.0:
                 raise NotPositiveDefinite(f"filter scale matrix lost "
                                           f"positive definiteness {where}")
             raise DomainError(f"the filter leaves float64 range {where}")
-        logdet = np.abs(diag)   # in place: one (N, p) temporary, not two
-        logdet = 2.0 * np.log(logdet, out=logdet).sum(axis=1)
-    return FilterRun(cfg=cfg, factors=factors, w=w, q=q, logdet_pre=logdet,
-                     final_state=FilterState(t=state.t + N, scale_chol=factors[-1].copy()))
+        logdet = 2.0 * np.log(pivots, out=pivots).sum(axis=1)
+    return FilterRun(cfg=cfg, factors_packed=path, w=w, q=q, logdet_pre=logdet,
+                     final_state=FilterState(t=state.t + N, scale_chol=np.array(last)))
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_index(p):
+    """Rows and columns of R's upper triangle in LAPACK's upper packed order
+    (column j holds R[0..j, j]), where each column starts, and where its
+    diagonal entry is."""
+    cols, rows = np.tril_indices(p)
+    j = np.arange(p)
+    starts = j * (j + 1) // 2
+    return rows, cols, starts, starts + j
+
+
+def pack_upper(r):
+    """The (..., p(p+1)/2) upper packed form of a (..., p, p) stack of upper
+    triangular matrices: column j of each matrix is entries j(j+1)/2 to
+    j(j+1)/2 + j, R[0, j] first.  Entries below the diagonal are dropped."""
+    r = np.asarray(r, dtype=float)
+    rows, cols, _, _ = _packed_index(r.shape[-1])
+    return r[..., rows, cols]
+
+
+def unpack_upper(packed, p):
+    """The (..., p, p) upper triangular stack that `pack_upper` packed."""
+    packed = np.asarray(packed, dtype=float)
+    rows, cols, _, _ = _packed_index(p)
+    out = np.zeros(packed.shape[:-1] + (p, p))
+    out[..., rows, cols] = packed
+    return out
 
 
 def posterior_mean(cfg, state):
@@ -240,36 +313,55 @@ def prior_mean_next(cfg, state):
 
 @dataclass(frozen=True)
 class FilterRun:
-    """A filter pass; `scales`, `u` and `u_star` are computed on each read."""
+    """A filter pass; `factors`, `scales`, `u` and `u_star` are computed from
+    the packed factor path on each read."""
 
     cfg: ModelConfig
-    factors: np.ndarray      # (N+1, p, p) upper factors R_{-1}, ..., R_{N-1}
-    w: np.ndarray            # (N, p), R_{t-1}' w_t = y_t
-    q: np.ndarray            # (N,) |w_t|^2 = y_t' S_{t-1}^{-1} y_t
-    logdet_pre: np.ndarray   # (N,) log|S_{t-1}|
+    factors_packed: np.ndarray   # (N+1, p(p+1)/2) R_{-1}, ..., R_{N-1}, see pack_upper
+    w: np.ndarray                # (N, p), R_{t-1}' w_t = y_t
+    q: np.ndarray                # (N,) |w_t|^2 = y_t' S_{t-1}^{-1} y_t
+    logdet_pre: np.ndarray       # (N,) log|S_{t-1}|
     final_state: FilterState = field(repr=False, default=None)
+
+    def factor_rows(self, lo, hi):
+        """(hi-lo, p, p) upper factors R_{lo-1}, ..., R_{hi-2}, unpacked."""
+        return unpack_upper(self.factors_packed[lo:hi], self.cfg.p)
+
+    @property
+    def factors(self):
+        """(N+1, p, p) upper factors R_{-1}, ..., R_{N-1}."""
+        return self.factor_rows(0, len(self.factors_packed))
 
     @property
     def scales(self):
         """(N, p, p) post-update scale matrices S_t = R_t'R_t."""
-        return self.factors[1:].transpose(0, 2, 1) @ self.factors[1:]
-
-    def _root(self, coef):
-        """(N, p) coef * S_{t-1}^{-1/2} y_t = coef * V U' w_t, R_{t-1} = U D V'."""
-        out, pre = np.empty_like(self.w), self.factors[:-1]
+        p = self.cfg.p
+        out = np.empty((len(self.q), p, p))
         for lo in range(0, len(out), _BLOCK):
-            uu, _, vt = np.linalg.svd(pre[lo:lo + _BLOCK])
+            post = self.factor_rows(lo + 1, lo + _BLOCK + 1)
+            np.matmul(post.transpose(0, 2, 1), post, out=out[lo:lo + _BLOCK])
+        return out
+
+    def _root(self):
+        """(N, p) S_{t-1}^{-1/2} y_t = V U' w_t, R_{t-1} = U D V'."""
+        out = np.empty_like(self.w)
+        for lo in range(0, len(out), _BLOCK):
+            uu, _, vt = np.linalg.svd(self.factor_rows(lo, min(lo + _BLOCK, len(out))))
             x = uu.transpose(0, 2, 1) @ self.w[lo:lo + _BLOCK, :, None]
-            out[lo:lo + _BLOCK] = coef * (vt.transpose(0, 2, 1) @ x)[..., 0]
+            out[lo:lo + _BLOCK] = (vt.transpose(0, 2, 1) @ x)[..., 0]
         return out
 
     @property
     def u(self):
-        return self._root(np.sqrt(self.cfg.k))   # see StepOutput
+        root = self._root()
+        root *= np.sqrt(self.cfg.k)   # see StepOutput
+        return root
 
     @property
     def u_star(self):
-        return self._root(self.cfg.forecast_scale_coef ** -0.5)
+        root = self._root()
+        root *= self.cfg.forecast_scale_coef ** -0.5
+        return root
 
     @property
     def u_sq(self):

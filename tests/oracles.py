@@ -141,6 +141,25 @@ def filter_rows_reference(Y, R0, k):
     return scales, u, q, logdet_pre, R
 
 
+def forward_substitution_full(factors, Y):
+    """w, q and log|S_{t-1}| from a full (N+1, p, p) factor stack.
+
+    The triangular solve R_{t-1}' w_t = y_t of `filtering._filter_rows`, in
+    the layout the kernel used before it held the path packed: each column's
+    sum of products is an `einsum` over the stack's strided column, so the
+    outputs are the bits that layout gave.
+    """
+    pre = factors[:len(Y)]
+    diag = np.diagonal(pre, axis1=1, axis2=2)
+    w = np.empty_like(Y)
+    for i in range(Y.shape[1]):
+        w[:, i] = (Y[:, i] - np.einsum("tj,tj->t", pre[:, :i, i], w[:, :i])) / diag[:, i]
+    q = np.einsum("tj,tj->t", w, w)
+    logdet = np.abs(diag)
+    logdet = 2.0 * np.log(logdet, out=logdet).sum(axis=1)
+    return w, q, logdet
+
+
 def expectation_invariance_check(cfg, state, k=None):
     """Traces of the expected precision before and after the evolution.
 

@@ -143,9 +143,9 @@ class TestEmitSeries:
         scale = (a * np.eye(3) + b * np.ones((3, 3))) / cfg.posterior_mean_coef
         frame = cli.ReturnsFrame(labels=["x", "y", "z"], times=["t1"],
                                  values=np.zeros((1, 3)))
-        # the run's factors: R_{-1}, then R_0 with R_0'R_0 = scale
-        factors = np.stack([np.eye(3), matstat.chol_upper(scale)])
-        run = filtering.FilterRun(cfg=cfg, factors=factors, w=np.zeros((1, 3)),
+        # the run's packed factors: R_{-1}, then R_0 with R_0'R_0 = scale
+        packed = filtering.pack_upper(np.stack([np.eye(3), matstat.chol_upper(scale)]))
+        run = filtering.FilterRun(cfg=cfg, factors_packed=packed, w=np.zeros((1, 3)),
                                   q=np.zeros(1), logdet_pre=np.zeros(1))
         paths = cli.emit_series(str(tmp_path), frame, {0.9: run})
         assert paths == [str(tmp_path / "series_delta_0.9.csv")]

@@ -8,8 +8,8 @@ import pytest
 
 from msvol import diagnostics, filtering, matstat, simulator
 from msvol.errors import DimensionMismatch, DomainError, NotPositiveDefinite
-from oracles import (expectation_invariance_check, filter_rows_reference, sym_inv_sqrt,
-                     wishart_sample)
+from oracles import (expectation_invariance_check, filter_rows_reference,
+                     forward_substitution_full, sym_inv_sqrt, wishart_sample)
 
 
 def make_state(cfg, scale):
@@ -166,6 +166,16 @@ class TestStep:
         np.testing.assert_allclose(out.u_star, ratio * out.u, rtol=1e-12)
 
 
+    def test_one_svd_per_step(self, monkeypatch):
+        # u and u_star are two scalings of one symmetric root
+        cfg = filtering.new_config(4, 0.9, np.eye(4))
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        filtering.step(cfg, filtering.initial_state(cfg), np.ones(4))
+        assert len(calls) == 1
+
+
 class TestExactExpansion:
     def exact_scale(self, s0, ys, k, t):
         acc = k ** (-(t + 1.0)) * s0
@@ -236,6 +246,52 @@ class TestFactorInvariants:
         np.testing.assert_allclose(r.T @ r, run.scales[-1], rtol=1e-12)
         assert np.all(np.diag(r) > 0)
         assert np.allclose(np.triu(r), r)
+
+
+class TestPackedPath:
+    """The run holds each R_t as its upper triangle in LAPACK's packed order,
+    and its readers give the bits the full (N+1, p, p) stack gave."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        # the criterion-7 path (p=8, N=4774, seed 42), then short paths at small p
+        sim = simulator.SimConfig(p=8, delta=0.9, N=4774, prior_scale=np.eye(8), seed=42)
+        ys = simulator.simulate_path(sim).returns
+        prior = diagnostics.default_prior_scale(ys, 0.9, 30)
+        out = [(filtering.run_filter(filtering.new_config(8, 0.9, prior), ys), ys)]
+        for p in (1, 2, 3):
+            ys = np.random.default_rng(p).standard_normal((3 * filtering._BLOCK + 7, p))
+            out.append((filtering.run_filter(filtering.new_config(p, 0.9, np.eye(p)), ys), ys))
+        return out
+
+    def test_packed_order(self):
+        r = np.arange(9.0).reshape(3, 3)
+        # column j holds R[0..j, j]; the entries below the diagonal are dropped
+        np.testing.assert_array_equal(filtering.pack_upper(r), [0, 1, 4, 2, 5, 8])
+        np.testing.assert_array_equal(filtering.unpack_upper([0, 1, 4, 2, 5, 8], 3),
+                                      np.triu(r))
+
+    def test_round_trip(self, runs):
+        for run, _ in runs:
+            p = run.cfg.p
+            assert run.factors_packed.shape == (len(run.q) + 1, p * (p + 1) // 2)
+            factors = run.factors
+            assert factors.shape == (len(run.q) + 1, p, p)
+            np.testing.assert_array_equal(factors, np.triu(factors))
+            np.testing.assert_array_equal(filtering.pack_upper(factors), run.factors_packed)
+            np.testing.assert_array_equal(factors[-1], run.final_state.scale_chol)
+
+    def test_solve_matches_full_layout(self, runs):
+        for run, ys in runs:
+            w, q, logdet = forward_substitution_full(run.factors, ys)
+            assert np.array_equal(run.w, w)
+            assert np.array_equal(run.q, q)
+            assert np.array_equal(run.logdet_pre, logdet)
+
+    def test_scales_are_products_of_factors(self, runs):
+        for run, _ in runs:
+            post = run.factors[1:]
+            assert np.array_equal(run.scales, post.transpose(0, 2, 1) @ post)
 
 
 class TestMeans:
@@ -383,7 +439,8 @@ class TestRunFilter:
                                       matstat.chol_upper(cfg.prior_scale))
 
     def test_no_second_scale_buffer(self):
-        # the run holds the kernel's arrays; a copy would double the peak
+        # the pass holds no (N, p, p) stack: its factor path is packed, and
+        # it peaks at 4.4 MB here, against 6.7 MB with a full-layout path
         p, N = 8, 10_000
         cfg = filtering.new_config(p, 0.95, np.eye(p))
         ys = np.random.default_rng(6).standard_normal((N, p))
@@ -393,7 +450,21 @@ class TestRunFilter:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * run.scales.nbytes
+        assert peak < run.scales.nbytes
+
+    def test_grid_search_holds_packed_runs(self):
+        # six runs, each less than one full (N+1, p, p) factor stack:
+        # 4.5 MB held here, against 7.2 MB with full-layout paths
+        p, N = 8, 2000
+        ys = np.random.default_rng(7).standard_normal((N, p))
+        tracemalloc.start()
+        try:
+            report = diagnostics.grid_search(ys, [0.8, 0.85, 0.9, 0.93, 0.95, 0.98], 0.95)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.runs) == 6
+        assert held < len(report.runs) * (N + 1) * p * p * 8
 
     def test_dimension_mismatch(self):
         cfg = filtering.new_config(2, 0.9, np.eye(2))

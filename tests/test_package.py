@@ -1,6 +1,9 @@
+import ctypes
 import os
 import subprocess
 import sys
+
+import pytest
 
 import msvol
 
@@ -41,3 +44,39 @@ def test_simulator_loads_no_scipy(tmp_path):
     out = tmp_path / "sim"
     assert loaded_scipy_modules(["--simulate", "3,200,0.9", "--out", str(out)]) == "[]"
     assert (out / "simulated_returns.csv").is_file()
+
+
+def large_array_mapped_after_free(import_msvol):
+    """In a fresh interpreter, whether a 2 MiB array gets its own mapping
+    after a 10 MiB one has been freed, with or without importing msvol."""
+    script = (
+        "import ctypes\n"
+        "import numpy as np\n"
+        + ("import msvol\n" if import_msvol else "")
+        + "class MallInfo2(ctypes.Structure):\n"
+        "    _fields_ = [(n, ctypes.c_size_t) for n in 'arena ordblks smblks hblks "
+        "hblkhd usmblks fsmblks uordblks fordblks keepcost'.split()]\n"
+        "libc = ctypes.CDLL(None)\n"
+        "libc.mallinfo2.restype = MallInfo2\n"
+        "big = np.ones(10 << 17)\n"
+        "del big\n"
+        "before = libc.mallinfo2().hblkhd\n"
+        "small = np.ones(2 << 17)\n"
+        "print(libc.mallinfo2().hblkhd - before >= small.nbytes)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return out.split()[-1] == "True"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or "MALLOC_MMAP_THRESHOLD_" in os.environ
+                    or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+                    reason="needs glibc 2.33 or later, with its mmap threshold as msvol leaves it")
+def test_freed_large_arrays_keep_their_own_mapping():
+    # glibc raises its mmap threshold to 10 MiB when the big array is freed
+    # and puts the next 2 MiB one on the heap; importing msvol fixes it
+    if large_array_mapped_after_free(import_msvol=False):
+        pytest.skip("this malloc does not raise its mmap threshold")
+    assert large_array_mapped_after_free(import_msvol=True)
